@@ -127,6 +127,8 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
       cells_.push_back(std::move(c));
     }
   }
+  residue_edges_memo_.assign(cells_.size() + 1, kUnknown);
+  stale_edges_memo_.assign(cells_.size(), kUnknown);
   // Construction ships zero bits: the geometry install broadcast is lazy,
   // paid by the first serve (bits-conservation invariants stay intact for
   // services that never enable the cube path).
@@ -136,6 +138,16 @@ Cube::~Cube() = default;
 
 query::RegionSignature Cube::cell_region(query::CubeCellRef ref) const {
   return cell(ref).region;
+}
+
+std::optional<Cube::EdgePartial> Cube::cached_partial(query::CubeCellRef ref,
+                                                      NodeId node,
+                                                      std::size_t ci) const {
+  const CellState& c = cell(ref);
+  if (c.child_partial.empty()) return std::nullopt;
+  SENSORNET_EXPECTS(node < tree_.node_count() &&
+                    ci < tree_.children[node].size());
+  return EdgePartial{c.child_partial[node][ci], c.child_epoch[node][ci]};
 }
 
 // ---- node-local evaluation ------------------------------------------------
@@ -179,19 +191,44 @@ sketch::Hll Cube::local_hll(NodeId node,
 
 // ---- pruning oracle -------------------------------------------------------
 
+std::size_t Cube::deepest_containing_cell(
+    const query::RegionSignature& region) const {
+  SENSORNET_EXPECTS(region.lo <= region.hi);
+  const auto contains = [&](std::size_t o) {
+    const query::RegionSignature& r = cells_[o]->region;
+    return r.lo <= region.lo && r.hi >= region.hi;
+  };
+  if (!contains(0)) return kNoCell;
+  // Children partition their parent, so at most one of them contains it.
+  std::size_t o = 0;
+  while (2 * o + 2 < cells_.size()) {
+    if (contains(2 * o + 1)) {
+      o = 2 * o + 1;
+    } else if (contains(2 * o + 2)) {
+      o = 2 * o + 2;
+    } else {
+      break;
+    }
+  }
+  return o;
+}
+
 bool Cube::subtree_provably_empty(NodeId node, std::size_t ci,
-                                  const query::RegionSignature& region) const {
-  for (const auto& cs : cells_) {
-    if (cs->child_partial.empty()) continue;  // cell never refreshed
-    if (cs->region.lo > region.lo || cs->region.hi < region.hi) continue;
+                                  std::size_t deepest) const {
+  if (deepest == kNoCell) return false;
+  for (std::size_t o = deepest;; o = (o - 1) / 2) {
+    const CellState& cs = *cells_[o];
     // The partial's outer region contains the residue's outer region (same
     // margin, containing core). edge_fresh certifies the subtree's items are
     // *identical* to when the partial was taken, so an empty outer then is
     // an empty outer now — the subtree contributes nothing, exactly.
-    if (!dirty_.edge_fresh(node, ci, cs->child_epoch[node][ci])) continue;
-    if (cs->child_partial[node][ci].outer.count == 0) return true;
+    if (!cs.child_partial.empty() &&
+        dirty_.edge_fresh(node, ci, cs.child_epoch[node][ci]) &&
+        cs.child_partial[node][ci].outer.count == 0) {
+      return true;
+    }
+    if (o == 0) return false;
   }
-  return false;
 }
 
 // ---- cell refresh wave ----------------------------------------------------
@@ -302,6 +339,7 @@ void Cube::refresh_cell(CellState& c, std::uint32_t epoch) {
   RefreshWave wave(*this, c, epoch);
   wave.execute(net_);
   ++stats_.refresh_waves;
+  forget_cell_costs(c.ordinal);
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
     ring.complete("cube.refresh", "service", t0, net_.now() - t0, 0, "epoch",
@@ -318,6 +356,7 @@ class Cube::ResidueWave final : public sim::ProtocolHandler {
               std::uint32_t session, bool want_hll)
       : cube_(cube),
         region_(region),
+        deepest_(cube.deepest_containing_cell(region)),
         session_(session),
         want_hll_(want_hll),
         pending_(cube.tree_.node_count(), 0),
@@ -360,7 +399,7 @@ class Cube::ResidueWave final : public sim::ProtocolHandler {
     if (want_hll_) accum_hll_[node] = cube_.local_hll(node, region_);
     const auto& kids = cube_.tree_.children[node];
     for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      if (cube_.subtree_provably_empty(node, ci, region_)) {
+      if (cube_.subtree_provably_empty(node, ci, deepest_)) {
         ++cube_.stats_.residue_edges_pruned;
         continue;
       }
@@ -389,6 +428,7 @@ class Cube::ResidueWave final : public sim::ProtocolHandler {
 
   Cube& cube_;
   query::RegionSignature region_;
+  std::size_t deepest_;  // the pruning oracle's containing-cell chain
   std::uint32_t session_;
   bool want_hll_;
   std::vector<std::uint32_t> pending_;
@@ -563,39 +603,76 @@ std::uint64_t Cube::edge_cost_bits(bool whole_domain,
   return request + response;
 }
 
-std::uint64_t Cube::count_stale_edges(const CellState& c, NodeId node) const {
+template <typename Skip>
+std::uint64_t Cube::count_descended_edges(Skip skip) const {
   std::uint64_t edges = 0;
-  const auto& kids = tree_.children[node];
-  for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-    const std::uint32_t have = c.child_partial.empty()
-                                   ? DirtyTracker::kInvalidEpoch
-                                   : c.child_epoch[node][ci];
-    if (dirty_.edge_fresh(node, ci, have)) continue;
-    edges += 1 + count_stale_edges(c, kids[ci]);
+  std::vector<NodeId> stack{tree_.root};
+  while (!stack.empty()) {
+    const NodeId node = stack.back();
+    stack.pop_back();
+    const auto& kids = tree_.children[node];
+    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
+      if (skip(node, ci)) continue;
+      ++edges;
+      stack.push_back(kids[ci]);
+    }
   }
   return edges;
 }
 
-std::uint64_t Cube::count_residue_edges(
-    NodeId node, const query::RegionSignature& region) const {
-  std::uint64_t edges = 0;
-  const auto& kids = tree_.children[node];
-  for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-    if (subtree_provably_empty(node, ci, region)) continue;
-    edges += 1 + count_residue_edges(kids[ci], region);
+template <typename Count>
+std::uint64_t Cube::memoised(std::vector<std::uint64_t>& memo,
+                             std::size_t slot, Count count) const {
+  const std::lock_guard<std::mutex> lock(memo_mu_);
+  if (memo_batches_noted_ != dirty_.batches_noted()) {
+    memo_batches_noted_ = dirty_.batches_noted();
+    std::fill(residue_edges_memo_.begin(), residue_edges_memo_.end(),
+              kUnknown);
+    std::fill(stale_edges_memo_.begin(), stale_edges_memo_.end(), kUnknown);
   }
-  return edges;
+  if (memo[slot] == kUnknown) memo[slot] = count();
+  return memo[slot];
+}
+
+void Cube::forget_cell_costs(std::size_t o) {
+  const std::lock_guard<std::mutex> lock(memo_mu_);
+  stale_edges_memo_[o] = kUnknown;
+  // The refresh moved only this cell's partials, so only regions whose
+  // containing chain passes through it — deepest containing cell o or a
+  // descendant — can prune differently now.
+  for (std::size_t first = o, width = 1; first < cells_.size();
+       first = 2 * first + 1, width *= 2) {
+    std::fill_n(residue_edges_memo_.begin() +
+                    static_cast<std::ptrdiff_t>(first),
+                width, kUnknown);
+  }
 }
 
 std::uint64_t Cube::cell_refresh_bits(query::CubeCellRef ref) const {
   const CellState& c = cell(ref);
-  return count_stale_edges(c, tree_.root) *
+  const std::uint64_t edges =
+      memoised(stale_edges_memo_, c.ordinal, [&] {
+        return count_descended_edges([&](NodeId node, std::size_t ci) {
+          const std::uint32_t have = c.child_partial.empty()
+                                         ? DirtyTracker::kInvalidEpoch
+                                         : c.child_epoch[node][ci];
+          return dirty_.edge_fresh(node, ci, have);
+        });
+      });
+  return edges *
          edge_cost_bits(c.region.whole_domain, /*carries_region=*/false);
 }
 
 std::uint64_t Cube::residue_collect_bits(
     const query::RegionSignature& region) const {
-  return count_residue_edges(tree_.root, region) *
+  const std::size_t deepest = deepest_containing_cell(region);
+  const std::size_t slot = deepest == kNoCell ? cells_.size() : deepest;
+  const std::uint64_t edges = memoised(residue_edges_memo_, slot, [&] {
+    return count_descended_edges([&](NodeId node, std::size_t ci) {
+      return subtree_provably_empty(node, ci, deepest);
+    });
+  });
+  return edges *
          edge_cost_bits(region.whole_domain, /*carries_region=*/true);
 }
 

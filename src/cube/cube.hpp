@@ -25,6 +25,19 @@
 // dirty tracker proves nothing below changed since — the subtree's items
 // are literally identical, so the prune is exact, not approximate.
 //
+// Because cells nest, the cells containing a region are exactly the
+// ancestors of its deepest containing cell, so the pruning oracle scans that
+// chain of at most `levels` cells rather than the whole grid, and a pruned
+// edge count depends on the region only through that deepest cell. The cost
+// model memoises per cell: residue_collect_bits keeps the pruned edge count
+// by deepest containing cell, cell_refresh_bits the stale edge count of each
+// cell. The counts move only when freshness does. A non-empty batch on the
+// dirty tracker (DirtyTracker::batches_noted) drops the whole memo; a cell
+// refresh moves only that cell's partials, so it drops that cell's stale
+// count and the residue counts of its descendants, the cells whose chain
+// passes through it. A mutex guards the memo: concurrent planners may probe
+// one const cube.
+//
 // Answers composed from fresh cells + residues are byte-identical to a
 // whole-tree collection: cell regions partition the query range, stats
 // combine losslessly, and HLL partials replicate the oracle's exact sketch
@@ -34,6 +47,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -131,10 +145,22 @@ class Cube final : public query::CubeCatalog {
 
   const CubeStats& stats() const { return stats_; }
   std::size_t cell_count() const { return cells_.size(); }
-  /// Row-major cell numbering: level 0 first, 2^l cells per level.
+  /// Row-major cell numbering: level 0 first, 2^l cells per level. Heap
+  /// order, so the parent of ordinal o > 0 is (o - 1) / 2.
   static std::size_t cell_ordinal(query::CubeCellRef ref) {
     return ((std::size_t{1} << ref.level) - 1) + ref.index;
   }
+
+  /// A parent-side partial cached by a cell refresh: the subtree bundle
+  /// below edge (node, child ci) and the epoch it was taken at.
+  struct EdgePartial {
+    StatsBundle bundle;
+    std::uint32_t epoch = DirtyTracker::kInvalidEpoch;
+  };
+  /// What cell `ref` caches for edge (node, child ci); nullopt before the
+  /// cell's first refresh.
+  std::optional<EdgePartial> cached_partial(query::CubeCellRef ref,
+                                            NodeId node, std::size_t ci) const;
 
  private:
   struct CellState;
@@ -150,11 +176,17 @@ class Cube final : public query::CubeCatalog {
   sketch::Hll local_hll(NodeId node, const query::RegionSignature& region)
       const;
   sketch::Hll empty_hll() const;
-  /// True when the cached cell partials prove the subtree below
-  /// (node, child ci) holds nothing relevant to `region` — exact, because
-  /// the dirty tracker certifies the subtree is unchanged since the proof.
+  /// Ordinal of the deepest cell containing `region` (lo <= hi), or
+  /// kNoCell when even the whole domain does not contain it.
+  std::size_t deepest_containing_cell(
+      const query::RegionSignature& region) const;
+  /// True when the cached partials of some cell containing the region —
+  /// the chain from `deepest` (a deepest_containing_cell result) up to the
+  /// root — prove the subtree below (node, child ci) holds nothing relevant
+  /// to the region. Exact, because the dirty tracker certifies the subtree
+  /// is unchanged since the proof.
   bool subtree_provably_empty(NodeId node, std::size_t ci,
-                              const query::RegionSignature& region) const;
+                              std::size_t deepest) const;
   void ensure_geometry_installed();
   /// Incremental refresh of one cell to `epoch`; no-op when already there.
   void refresh_cell(CellState& c, std::uint32_t epoch);
@@ -166,10 +198,17 @@ class Cube final : public query::CubeCatalog {
   /// Estimated wire bits of one descend-and-respond edge for a region
   /// (request + response, headers included).
   std::uint64_t edge_cost_bits(bool whole_domain, bool carries_region) const;
-  std::uint64_t count_stale_edges(const CellState& c, NodeId node) const;
-  std::uint64_t count_residue_edges(NodeId node,
-                                    const query::RegionSignature& region)
-      const;
+  /// Edges a top-down wave descends when it skips every edge `skip`
+  /// accepts (and so everything below it). Iterative: trees may be deep.
+  template <typename Skip>
+  std::uint64_t count_descended_edges(Skip skip) const;
+  /// memo[slot], filled by `count()` when unknown. Drops every memoised
+  /// count first if the dirty tracker noted a batch since they were taken.
+  template <typename Count>
+  std::uint64_t memoised(std::vector<std::uint64_t>& memo, std::size_t slot,
+                         Count count) const;
+  /// Drops the memoised counts a refresh of cell `ordinal` can change.
+  void forget_cell_costs(std::size_t ordinal);
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
@@ -182,6 +221,18 @@ class Cube final : public query::CubeCatalog {
   std::uint32_t next_residue_session_;
   // Telemetry, not state: the zero-bit stale path counts from const context.
   mutable CubeStats stats_;
+
+  static constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
+  static constexpr std::uint64_t kUnknown = static_cast<std::uint64_t>(-1);
+  // Cost-model memo (see the header comment); the stamp is the tracker's
+  // batch count the memoised counts were taken at.
+  mutable std::mutex memo_mu_;
+  mutable std::uint64_t memo_batches_noted_ = 0;
+  /// Pruned residue edges by deepest containing cell; the last slot is for
+  /// regions no cell contains.
+  mutable std::vector<std::uint64_t> residue_edges_memo_;
+  /// Stale edges by cell ordinal.
+  mutable std::vector<std::uint64_t> stale_edges_memo_;
 };
 
 }  // namespace sensornet::cube

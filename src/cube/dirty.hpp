@@ -63,6 +63,10 @@ class DirtyTracker {
 
   std::uint64_t mark_messages() const { return mark_messages_; }
 
+  /// Non-empty update batches recorded so far. Freshness (edge_fresh) can
+  /// only move when this count does, so consumers memoise against it.
+  std::uint64_t batches_noted() const { return batches_noted_; }
+
  private:
   class MarkWave;
 
@@ -73,6 +77,7 @@ class DirtyTracker {
   /// each child edge.
   std::vector<std::vector<std::uint32_t>> child_changed_epoch_;
   std::uint64_t mark_messages_ = 0;
+  std::uint64_t batches_noted_ = 0;
 };
 
 }  // namespace sensornet::cube

@@ -68,7 +68,10 @@ struct CubeCellRef {
 
 /// The planner's read-only view of the multiresolution cube: geometry plus a
 /// deterministic bit-cost model. Implemented by cube::Cube; tests substitute
-/// fakes with hand-set costs.
+/// fakes with hand-set costs. The const methods must be safe to call from
+/// concurrent planners (the query service plans batches on farm workers);
+/// an implementation may memoise answers behind a lock, as long as every
+/// answer equals a fresh computation on the catalog's current state.
 class CubeCatalog {
  public:
   virtual ~CubeCatalog() = default;

@@ -39,9 +39,10 @@ unsigned registers_for_error(double error);
 RegionSignature region_signature(const Query& q, Value max_value_bound);
 
 /// Plans queries against one deployment: a fixed value bound and an
-/// optional cube catalog. Pure — plan() mutates nothing, so one Planner can
-/// serve any number of callers; re-planning the same query after cube
-/// staleness changed is how plans track the cube's warmth.
+/// optional cube catalog. Pure — plan() changes no observable state (the
+/// catalog may memoise its cost answers, thread-safely), so one Planner can
+/// serve any number of concurrent callers; re-planning the same query after
+/// cube staleness changed is how plans track the cube's warmth.
 class Planner {
  public:
   /// `catalog` may be null (every plan is then a single tree collection)

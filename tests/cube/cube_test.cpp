@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/core/count_distinct.hpp"
 #include "src/net/topology.hpp"
 #include "src/proto/item_view.hpp"
@@ -337,6 +339,204 @@ TEST(Cube, CostModelTracksActualRefreshState) {
   const query::RegionSignature whole{0, kBound, true};
   EXPECT_GT(f.cube.tree_collect_bits(whole), 0u);
   EXPECT_EQ(f.cube.tree_collect_bits(whole) % 63u, 0u);
+}
+
+/// The cost model's defining semantics, kept as a brute-force reference: an
+/// edge is pruned for a region when *any* refreshed cell containing the
+/// region (found by scanning every cell) holds a fresh, outer-empty partial
+/// for it, and edge counts come from a plain recursive walk.
+class ReferenceCostModel {
+ public:
+  ReferenceCostModel(const Cube& cube, const net::SpanningTree& tree,
+                     const DirtyTracker& dirty)
+      : cube_(cube), tree_(tree), dirty_(dirty) {}
+
+  std::uint64_t residue_edges(const query::RegionSignature& region,
+                              NodeId node) const {
+    std::uint64_t edges = 0;
+    const auto& kids = tree_.children[node];
+    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
+      if (provably_empty(node, ci, region)) continue;
+      edges += 1 + residue_edges(region, kids[ci]);
+    }
+    return edges;
+  }
+
+  std::uint64_t stale_edges(query::CubeCellRef ref, NodeId node) const {
+    std::uint64_t edges = 0;
+    const auto& kids = tree_.children[node];
+    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
+      const auto p = cube_.cached_partial(ref, node, ci);
+      if (dirty_.edge_fresh(node, ci,
+                            p ? p->epoch : DirtyTracker::kInvalidEpoch)) {
+        continue;
+      }
+      edges += 1 + stale_edges(ref, kids[ci]);
+    }
+    return edges;
+  }
+
+ private:
+  bool provably_empty(NodeId node, std::size_t ci,
+                      const query::RegionSignature& region) const {
+    for (unsigned level = 0; level < cube_.levels(); ++level) {
+      for (unsigned i = 0; i < (1u << level); ++i) {
+        const query::RegionSignature cr = cube_.cell_region({level, i});
+        if (cr.lo > region.lo || cr.hi < region.hi) continue;
+        const auto p = cube_.cached_partial({level, i}, node, ci);
+        if (p && dirty_.edge_fresh(node, ci, p->epoch) &&
+            p->bundle.outer.count == 0) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  const Cube& cube_;
+  const net::SpanningTree& tree_;
+  const DirtyTracker& dirty_;
+};
+
+query::CostedPlan single_step_plan(query::StepKind kind,
+                                   const query::RegionSignature& region,
+                                   query::CubeCellRef cell = {}) {
+  query::CostedPlan plan;
+  plan.region = region;
+  query::PlanStep step;
+  step.kind = kind;
+  step.region = region;
+  step.cell = cell;
+  plan.steps.push_back(step);
+  return plan;
+}
+
+query::RegionSignature region_of(Value lo, Value hi) {
+  return {lo, hi, lo == 0 && hi == kBound};
+}
+
+TEST(Cube, CostModelMatchesTheAllCellsReferenceThroughDriftAndRefreshes) {
+  CubeConfig cfg;
+  cfg.levels = 6;
+  Fixture f(cfg);
+  // Two clusters leave whole runs of cells empty, so the reference prunes.
+  ValueSet vs(64);
+  for (NodeId u = 0; u < 64; ++u) {
+    vs[u] = static_cast<Value>(u % 2 == 0 ? 100 + (u * 7) % 150
+                                          : 600 + (u * 11) % 100);
+  }
+  f.net.set_one_item_per_node(vs);
+  const ReferenceCostModel ref(f.cube, f.tree, f.dirty);
+  const std::uint64_t edges = f.tree.node_count() - 1;
+  // Per-edge costs, read off the model where every edge counts: a tree
+  // collection, and a refresh of a still-cold cell.
+  const auto residue_edge_bits = [&](bool whole) {
+    return f.cube.tree_collect_bits(whole ? region_of(0, kBound)
+                                          : region_of(0, 10)) /
+           edges;
+  };
+  const std::uint64_t refresh_whole_bits =
+      f.cube.cell_refresh_bits({0, 0}) / edges;
+  const std::uint64_t refresh_ranged_bits =
+      f.cube.cell_refresh_bits({1, 0}) / edges;
+
+  // Every region between two finest-level boundaries, plus random ones.
+  const unsigned finest = cfg.levels - 1;
+  std::vector<Value> bounds;
+  for (unsigned i = 0; i < (1u << finest); ++i) {
+    bounds.push_back(f.cube.cell_region({finest, i}).lo);
+  }
+  bounds.push_back(kBound + 1);
+  Xoshiro256 rng(2024);
+  const auto random_region = [&] {
+    const auto lo = static_cast<Value>(rng.next_below(kBound + 1));
+    const auto hi = lo + static_cast<Value>(rng.next_below(
+                             static_cast<std::uint64_t>(kBound - lo) + 1));
+    return region_of(lo, hi);
+  };
+
+  std::uint64_t reference_prunes = 0;
+  const auto check = [&](int step) {
+    std::vector<query::RegionSignature> regions;
+    for (std::size_t a = 0; a < bounds.size(); ++a) {
+      for (std::size_t b = a + 1; b < bounds.size(); ++b) {
+        regions.push_back(region_of(bounds[a], bounds[b] - 1));
+      }
+    }
+    for (int k = 0; k < 24; ++k) regions.push_back(random_region());
+    int mismatches = 0;
+    for (const query::RegionSignature& r : regions) {
+      const std::uint64_t want = ref.residue_edges(r, f.tree.root);
+      reference_prunes += edges - want;
+      if (f.cube.residue_collect_bits(r) !=
+          want * residue_edge_bits(r.whole_domain)) {
+        ++mismatches;
+        ADD_FAILURE() << "step " << step << ": residue [" << r.lo << ", "
+                      << r.hi << "]";
+      }
+    }
+    for (unsigned level = 0; level < cfg.levels; ++level) {
+      for (unsigned i = 0; i < (1u << level); ++i) {
+        const std::uint64_t want =
+            ref.stale_edges({level, i}, f.tree.root) *
+            (level == 0 ? refresh_whole_bits : refresh_ranged_bits);
+        if (f.cube.cell_refresh_bits({level, i}) != want) {
+          ++mismatches;
+          ADD_FAILURE() << "step " << step << ": refresh of cell (" << level
+                        << ", " << i << ")";
+        }
+      }
+    }
+    return mismatches;
+  };
+
+  ASSERT_EQ(check(-1), 0);
+  std::uint32_t epoch = 1;
+  for (int step = 0; step < 60; ++step) {
+    switch (rng.next_below(3)) {
+      case 0: {  // drift batch: a few nodes move, some across cell edges
+        ++epoch;
+        std::vector<NodeId> touched;
+        const auto moves = 1 + rng.next_below(6);
+        for (std::uint64_t k = 0; k < moves; ++k) {
+          const auto u = static_cast<NodeId>(rng.next_below(64));
+          const Value shift = static_cast<Value>(rng.next_below(161)) - 80;
+          f.net.update_item(
+              u, 0, std::clamp<Value>(f.net.items(u)[0] + shift, 0, kBound));
+          touched.push_back(u);
+        }
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()),
+                      touched.end());
+        f.dirty.note_updates(touched, epoch);
+        break;
+      }
+      case 1: {  // refresh one cell
+        const auto level = static_cast<unsigned>(rng.next_below(cfg.levels));
+        const auto index = static_cast<unsigned>(rng.next_below(1u << level));
+        const query::CubeCellRef cell{level, index};
+        const ServeResult r = f.cube.serve(
+            single_step_plan(query::StepKind::kCubeCell,
+                             f.cube.cell_region(cell), cell),
+            epoch);
+        EXPECT_EQ(r.bundle.core,
+                  direct_core(f.net, f.cube.cell_region(cell)));
+        break;
+      }
+      default: {  // residue serve
+        const query::RegionSignature region = random_region();
+        const ServeResult r = f.cube.serve(
+            single_step_plan(query::StepKind::kResidueCollect, region), epoch);
+        EXPECT_EQ(r.bundle.core, direct_core(f.net, region));
+        break;
+      }
+    }
+    ASSERT_EQ(check(step), 0) << "after step " << step;
+  }
+  // The sequence exercised the pruning oracle, not just the cold model.
+  EXPECT_GT(reference_prunes, 0u);
+  EXPECT_GT(f.cube.stats().refresh_waves, 0u);
+  EXPECT_GT(f.cube.stats().residue_edges_pruned, 0u);
 }
 
 }  // namespace

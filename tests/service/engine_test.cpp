@@ -474,5 +474,31 @@ TEST(QueryService, CubeServesDistinctFromMaintainedSketches) {
   EXPECT_EQ(c.svc.telemetry().cube_fresh_answers, 1u);
 }
 
+TEST(QueryService, CubeAnswersARangedCountOnADeepLineTree) {
+  // A 200,000-node line is a BFS tree as deep as it is wide: the cube's
+  // cost walks must not recurse once per tree level.
+  constexpr NodeId kNodes = 200000;
+  sim::Network net(net::make_line(kNodes), /*master_seed=*/5);
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  std::vector<Value> values(kNodes);
+  for (NodeId u = 0; u < kNodes; ++u) {
+    values[u] = static_cast<Value>((u * 53) % (kBound + 1));
+  }
+  net.set_one_item_per_node(values);
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  QueryService svc(query::Deployment{net, tree, kBound}, cfg);
+
+  const auto adm =
+      svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 123 AND 456");
+  ASSERT_TRUE(adm.ok());
+  ASSERT_TRUE(adm.value().answer.has_value());
+  const auto expected = std::count_if(
+      values.begin(), values.end(),
+      [](Value v) { return v >= 123 && v <= 456; });
+  EXPECT_EQ(adm.value().answer->value, static_cast<double>(expected));
+  EXPECT_EQ(svc.telemetry().cube_fresh_answers, 1u);
+}
+
 }  // namespace
 }  // namespace sensornet::service
