@@ -14,12 +14,15 @@
 // same coalesced dirty-mark wave the shared-plan scheduler rides
 // (cube::DirtyTracker): a cell refresh descends only into subtrees that
 // changed since the cached partial was taken, so a quiescent network
-// refreshes for free.
+// refreshes for free. A cell is a MaintainedRegion and refreshes through
+// cube::refresh (wave.hpp), the same incremental proto::TreeWave that
+// collects a shared-plan stats group.
 //
 // The planner sees the cube through the query::CubeCatalog interface —
 // geometry plus a deterministic bit-cost model — and decomposes a range
 // query into the fewest covering cells plus *residue* collections for the
-// unaligned ends. A residue collection is a one-shot wave that prunes
+// unaligned ends. A residue collection is a one-shot wave (the same bundle
+// spec, with the range in the request) whose edge policy prunes
 // subtrees provably empty for its range: an edge is skipped when some
 // containing cell's cached partial shows an empty outer region and the
 // dirty tracker proves nothing below changed since — the subtree's items
@@ -46,7 +49,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -54,11 +56,11 @@
 #include "src/common/types.hpp"
 #include "src/cube/dirty.hpp"
 #include "src/cube/stats.hpp"
+#include "src/cube/wave.hpp"
 #include "src/net/spanning_tree.hpp"
 #include "src/query/aggregate.hpp"
 #include "src/query/plan.hpp"
 #include "src/sim/network.hpp"
-#include "src/sketch/hll.hpp"
 
 namespace sensornet::cube {
 
@@ -163,19 +165,13 @@ class Cube final : public query::CubeCatalog {
                                             NodeId node, std::size_t ci) const;
 
  private:
-  struct CellState;
-  class RefreshWave;
-  class ResidueWave;
+  struct ResidueEdges;
 
-  CellState& cell(query::CubeCellRef ref);
-  const CellState& cell(query::CubeCellRef ref) const;
-  /// Node-local bundle over `region` with the cube's margins.
-  StatsBundle local_bundle(NodeId node, const query::RegionSignature& region)
-      const;
-  /// Node-local HLL over `region` in the oracle's exact sketch geometry.
-  sketch::Hll local_hll(NodeId node, const query::RegionSignature& region)
-      const;
-  sketch::Hll empty_hll() const;
+  MaintainedRegion& cell(query::CubeCellRef ref);
+  const MaintainedRegion& cell(query::CubeCellRef ref) const;
+  /// The bundle wave over `region` with the cube's margin and the oracle's
+  /// exact sketch geometry.
+  BundleSpec spec_for(const query::RegionSignature& region) const;
   /// Ordinal of the deepest cell containing `region` (lo <= hi), or
   /// kNoCell when even the whole domain does not contain it.
   std::size_t deepest_containing_cell(
@@ -189,10 +185,10 @@ class Cube final : public query::CubeCatalog {
                               std::size_t deepest) const;
   void ensure_geometry_installed();
   /// Incremental refresh of one cell to `epoch`; no-op when already there.
-  void refresh_cell(CellState& c, std::uint32_t epoch);
-  /// One-shot pruned collection; fills `hll` when it is non-null.
-  StatsBundle collect_range(const query::RegionSignature& region,
-                            std::optional<sketch::Hll>* hll);
+  void refresh_cell(query::CubeCellRef ref, std::uint32_t epoch);
+  /// One-shot pruned collection, with the HLL partial when `want_hll`.
+  BundlePartial collect_range(const query::RegionSignature& region,
+                              bool want_hll);
   void mirror_stats() const;
 
   /// Estimated wire bits of one descend-and-respond edge for a region
@@ -217,7 +213,7 @@ class Cube final : public query::CubeCatalog {
   CubeConfig config_;
   std::uint8_t hll_width_;  // packed rank width: the oracle's geometry
   bool geometry_installed_ = false;
-  std::vector<std::unique_ptr<CellState>> cells_;  // by cell_ordinal
+  std::vector<MaintainedRegion> cells_;  // by cell_ordinal
   std::uint32_t next_residue_session_;
   // Telemetry, not state: the zero-bit stale path counts from const context.
   mutable CubeStats stats_;

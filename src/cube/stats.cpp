@@ -99,12 +99,54 @@ BundleBracket bracket_bundle(const StatsBundle& b, bool whole_domain,
   return out;
 }
 
+void compose_bracket(BundleBracket& acc, const BundleBracket& br) {
+  acc.count_lo += br.count_lo;
+  acc.count_hi += br.count_hi;
+  acc.sum_lo += br.sum_lo;
+  acc.sum_hi += br.sum_hi;
+  if (br.any_possible) {
+    acc.min_lo = acc.any_possible ? std::min(acc.min_lo, br.min_lo) : br.min_lo;
+    acc.max_hi = acc.any_possible ? std::max(acc.max_hi, br.max_hi) : br.max_hi;
+    acc.any_possible = true;
+  }
+  if (br.defined) {
+    acc.min_hi = acc.defined ? std::min(acc.min_hi, br.min_hi) : br.min_hi;
+    acc.max_lo = acc.defined ? std::max(acc.max_lo, br.max_lo) : br.max_lo;
+    acc.defined = true;
+  }
+}
+
 BracketedAnswer make_answer(double value, double lo, double hi) {
   BracketedAnswer a;
   a.value = value;
   a.bound = std::max({value - lo, hi - value, 0.0});
   a.exact = a.bound == 0.0;
   return a;
+}
+
+std::optional<BracketedAnswer> bracketed_answer(query::AggregateKind agg,
+                                                const RangeStats& core,
+                                                const BundleBracket& br) {
+  switch (agg) {
+    case query::AggregateKind::kCount:
+      return make_answer(static_cast<double>(core.count), br.count_lo,
+                         br.count_hi);
+    case query::AggregateKind::kSum:
+      return make_answer(static_cast<double>(core.sum), br.sum_lo, br.sum_hi);
+    case query::AggregateKind::kAvg:
+      if (core.count == 0 || br.count_lo <= 0.0) return std::nullopt;
+      return make_answer(
+          static_cast<double>(core.sum) / static_cast<double>(core.count),
+          br.sum_lo / br.count_hi, br.sum_hi / br.count_lo);
+    case query::AggregateKind::kMin:
+      if (core.count == 0 || !br.defined) return std::nullopt;
+      return make_answer(static_cast<double>(core.min), br.min_lo, br.min_hi);
+    case query::AggregateKind::kMax:
+      if (core.count == 0 || !br.defined) return std::nullopt;
+      return make_answer(static_cast<double>(core.max), br.max_lo, br.max_hi);
+    default:
+      return std::nullopt;  // not bracketable from a stats bundle
+  }
 }
 
 }  // namespace sensornet::cube

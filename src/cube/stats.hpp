@@ -16,13 +16,17 @@
 // own range — both MIN/MAX rails are clamped; the pre-PR 10 result cache
 // clamped only one side of each). bracket_bundle() is the one home of this
 // arithmetic: the result cache applies it to a whole cached bundle, the cube
-// applies it per cell and composes the intervals.
+// applies it per cell and composes the intervals with compose_bracket().
+// bracketed_answer() is the one home of the per-aggregate step from a
+// bracket to an answer, for both.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "src/common/bitio.hpp"
 #include "src/common/types.hpp"
+#include "src/query/aggregate.hpp"
 
 namespace sensornet::cube {
 
@@ -83,6 +87,14 @@ BundleBracket bracket_bundle(const StatsBundle& b, bool whole_domain,
                              double drift, double region_lo,
                              double region_hi);
 
+/// Folds one component's bracket into `acc`, the bracket of a union of
+/// disjoint components (start from a default BundleBracket): COUNT and SUM
+/// rails add; any component that may hold an element widens the outward
+/// MIN/MAX rails, and a surely-present element in any component bounds the
+/// global MIN from above (and MAX from below). Composing one component
+/// yields its bracket unchanged.
+void compose_bracket(BundleBracket& acc, const BundleBracket& br);
+
 /// A bracketed answer: |value - exact_now| <= bound, deterministically.
 struct BracketedAnswer {
   double value = 0.0;
@@ -93,5 +105,12 @@ struct BracketedAnswer {
 /// Collapses an interval around a point answer (bound = max distance to
 /// either rail, floored at zero).
 BracketedAnswer make_answer(double value, double lo, double hi);
+
+/// The answer to stats aggregate `agg` from its frozen point values `core`
+/// and their bracket `br`. Nullopt when the aggregate is not bracketable from
+/// a stats bundle, the selection is empty, or an AVG count could reach zero.
+std::optional<BracketedAnswer> bracketed_answer(query::AggregateKind agg,
+                                                const RangeStats& core,
+                                                const BundleBracket& br);
 
 }  // namespace sensornet::cube

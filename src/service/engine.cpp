@@ -94,8 +94,7 @@ QueryService::QueryService(query::Deployment deployment, ServiceConfig config)
       planner_(deployment.max_value_bound, cube_.get()),
       cache_(deployment.max_value_bound, config.max_delta,
              config.cache_horizon_epochs, config.cache_capacity),
-      farm_(config.threads),
-      last_update_epoch_(deployment.net.node_count(), 0) {
+      farm_(config.threads) {
   SENSORNET_EXPECTS(config.max_delta >= 0);
   SENSORNET_EXPECTS(config.cache_horizon_epochs >= 1);
 }
@@ -413,18 +412,14 @@ Answer QueryService::answer_fresh(const LiveQuery& lq) {
 
 std::vector<Answer> QueryService::run_epoch(
     std::span<const SensorUpdate> updates) {
-  ++epoch_;
-  stored_this_epoch_.clear();
-  cube_stored_this_epoch_.clear();
-  const SimTime epoch_t0 = deployment_.net.now();
-
-  // Apply the batch under the drift model the cache's soundness rests on.
-  std::vector<NodeId> touched;
-  touched.reserve(updates.size());
+  // Check the whole batch against the drift model the cache's soundness
+  // rests on before touching anything: a rejected batch changes nothing (an
+  // update applied without its dirty mark would leave cached partials
+  // "fresh" over a changed subtree).
+  std::vector<NodeId> nodes;
+  nodes.reserve(updates.size());
   for (const SensorUpdate& u : updates) {
     SENSORNET_EXPECTS(u.node < deployment_.net.node_count());
-    SENSORNET_EXPECTS(last_update_epoch_[u.node] != epoch_);
-    last_update_epoch_[u.node] = epoch_;
     SENSORNET_EXPECTS(u.value >= 0 &&
                       u.value <= deployment_.max_value_bound);
     const auto items = deployment_.net.items(u.node);
@@ -432,7 +427,23 @@ std::vector<Answer> QueryService::run_epoch(
     const Value old = items[0];
     const Value delta = u.value > old ? u.value - old : old - u.value;
     SENSORNET_EXPECTS(delta <= config_.max_delta);
-    if (delta == 0) continue;  // no-op writes don't dirty the tree
+    nodes.push_back(u.node);
+  }
+  std::sort(nodes.begin(), nodes.end());
+  // At most one update per node per epoch.
+  SENSORNET_EXPECTS(std::adjacent_find(nodes.begin(), nodes.end()) ==
+                    nodes.end());
+
+  ++epoch_;
+  stored_this_epoch_.clear();
+  cube_stored_this_epoch_.clear();
+  const SimTime epoch_t0 = deployment_.net.now();
+
+  std::vector<NodeId> touched;
+  touched.reserve(updates.size());
+  for (const SensorUpdate& u : updates) {
+    // No-op writes don't dirty the tree.
+    if (u.value == deployment_.net.items(u.node)[0]) continue;
     deployment_.net.update_item(u.node, 0, u.value);
     touched.push_back(u.node);
     ++telemetry_.updates_applied;
@@ -453,14 +464,32 @@ std::vector<Answer> QueryService::run_epoch(
   // collection — and once it is paid, every due subscriber of the group
   // rides it for free, so "partially cached" never happens within a group.
   std::vector<GroupId> fresh_needed;
+  std::map<QueryId, CachedAnswer> cached;
   const auto is_due = [&](const LiveQuery& lq) {
     return lq.every != 0 && epoch_ > lq.registered_epoch &&
            (epoch_ - lq.registered_epoch) % lq.every == 0;
   };
+  const auto due_stats = [&](const LiveQuery& lq) {
+    return lq.path == Path::kStats && is_due(lq);
+  };
   if (config_.share_aggregation && config_.use_cache) {
     for (const auto& [id, lq] : live_) {
-      if (lq.path != Path::kStats || !is_due(lq)) continue;
-      if (!cache_could_serve(lq)) fresh_needed.push_back(lq.group);
+      if (due_stats(lq) && !cache_could_serve(lq)) {
+        fresh_needed.push_back(lq.group);
+      }
+    }
+    // Take the cached answers now, before this epoch's first store: a fresh
+    // collection's store may evict the very entry a group was planned from.
+    for (const auto& [id, lq] : live_) {
+      if (!due_stats(lq) || std::find(fresh_needed.begin(), fresh_needed.end(),
+                                      lq.group) != fresh_needed.end()) {
+        continue;
+      }
+      // Every due subscriber of a non-fresh group probed successfully just
+      // now, and nothing moved since — the lookup must hit.
+      const auto hit = cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
+      SENSORNET_EXPECTS(hit.has_value());
+      cached.emplace(id, *hit);
     }
   }
 
@@ -469,19 +498,8 @@ std::vector<Answer> QueryService::run_epoch(
     if (!is_due(lq)) continue;
     if (lq.path == Path::kCube) {
       answers.push_back(serve_cube(lq));
-      continue;
-    }
-    const bool cacheable =
-        lq.path == Path::kStats && config_.share_aggregation &&
-        config_.use_cache &&
-        std::find(fresh_needed.begin(), fresh_needed.end(), lq.group) ==
-            fresh_needed.end();
-    if (cacheable) {
-      // Every due subscriber of a non-fresh group probed successfully in
-      // the planning pass, and nothing moved since — the lookup must hit.
-      const auto hit = cache_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
-      SENSORNET_EXPECTS(hit.has_value());
-      answers.push_back(answer_cached(lq, *hit));
+    } else if (const auto it = cached.find(id); it != cached.end()) {
+      answers.push_back(answer_cached(lq, it->second));
     } else {
       answers.push_back(answer_fresh(lq));
     }

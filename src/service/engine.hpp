@@ -263,7 +263,6 @@ class QueryService {
   std::uint32_t epoch_ = 0;
   QueryId next_id_ = 1;
   std::map<QueryId, LiveQuery> live_;  // ordered: answers come out by id
-  std::vector<std::uint32_t> last_update_epoch_;  // per node, 0 = never
   /// Stats groups already collected-and-stored this epoch (store-once guard).
   std::vector<GroupId> stored_this_epoch_;
   /// Regions already stored by the cube path this epoch (its store-once

@@ -6,6 +6,7 @@
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
 #include "src/core/count_distinct.hpp"
+#include "src/cube/wave.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/proto/item_view.hpp"
@@ -28,33 +29,19 @@ void mirror_plan_stats(const SharedPlanStats& s) {
   reg.gauge_set(reg.gauge("svc.plan.groups_created"), s.groups_created);
 }
 
-constexpr std::uint32_t kInvalidEpoch = cube::DirtyTracker::kInvalidEpoch;
-constexpr std::uint16_t kRequestKind = 1;
-constexpr std::uint16_t kResponseKind = 2;
-
-using cube::child_index;
-using cube::decode_range_stats;
-using cube::encode_range_stats;
-
 }  // namespace
 
 // ---- group state ----------------------------------------------------------
 
 struct SharedPlanScheduler::Group {
   query::AggregateFamily family = query::AggregateFamily::kStats;
-  query::RegionSignature region;
   unsigned registers = 0;  // distinct family: 0 = exact union wave
   std::uint32_t session = 0;
-
-  // Incremental stats state: the parent-side cache of each child edge's
-  // subtree bundle and the epoch it was collected at (kInvalidEpoch when
-  // the edge has never been collected). Indexed [node][child_index].
-  std::vector<std::vector<StatsBundle>> child_partial;
-  std::vector<std::vector<std::uint32_t>> child_partial_epoch;
-
-  StatsBundle root_bundle;
+  // The region and the epoch of the last collection. A stats group also
+  // keeps its per-edge partials and root bundle here, exactly as a cube cell
+  // does, and refreshes through the same incremental wave.
+  cube::MaintainedRegion state;
   double distinct_estimate = 0.0;
-  std::uint32_t last_collect_epoch = kInvalidEpoch;
 };
 
 // ---- local evaluation -----------------------------------------------------
@@ -78,29 +65,6 @@ class SharedPlanScheduler::RegionView final : public proto::LocalItemView {
   query::RegionSignature region_;
 };
 
-StatsBundle SharedPlanScheduler::local_bundle(NodeId node,
-                                              const Group& g) const {
-  StatsBundle b;
-  if (g.region.whole_domain) {
-    // Membership is static over the whole domain: the margins collapse and
-    // one RangeStats describes all three regions.
-    for (const Value v : net_.items(node)) b.core.observe(v);
-    b.inner = b.core;
-    b.outer = b.core;
-    return b;
-  }
-  const Value margin =
-      static_cast<Value>(horizon_epochs_) * max_delta_;
-  const Value lo = g.region.lo;
-  const Value hi = g.region.hi;
-  for (const Value v : net_.items(node)) {
-    if (v >= lo && v <= hi) b.core.observe(v);
-    if (v >= lo + margin && v <= hi - margin) b.inner.observe(v);
-    if (v >= lo - margin && v <= hi + margin) b.outer.observe(v);
-  }
-  return b;
-}
-
 // ---- dirty-mark propagation ----------------------------------------------
 
 void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
@@ -109,105 +73,6 @@ void SharedPlanScheduler::note_updates(std::span<const NodeId> updated,
   stats_.mark_messages = dirty_.mark_messages();
   mirror_plan_stats(stats_);
 }
-
-// ---- incremental stats collection ----------------------------------------
-
-class SharedPlanScheduler::StatsWave final : public sim::ProtocolHandler {
- public:
-  StatsWave(SharedPlanScheduler& sched, Group& g, std::uint32_t epoch)
-      : sched_(sched),
-        g_(g),
-        epoch_(epoch),
-        pending_(sched.tree_.node_count(), 0),
-        accum_(sched.tree_.node_count()) {}
-
-  /// Runs the collection and returns the root's subtree bundle.
-  StatsBundle execute(sim::Network& net) {
-    activate(net, sched_.tree_.root);
-    net.run(*this);
-    SENSORNET_EXPECTS(pending_[sched_.tree_.root] == 0);
-    return accum_[sched_.tree_.root];
-  }
-
-  void on_message(sim::Network& net, NodeId receiver,
-                  const sim::Message& msg) override {
-    SENSORNET_EXPECTS(msg.session == g_.session);
-    if (msg.kind == kRequestKind) {
-      activate(net, receiver);
-      return;
-    }
-    SENSORNET_EXPECTS(msg.kind == kResponseKind);
-    BitReader r = msg.reader();
-    StatsBundle child;
-    child.core = decode_range_stats(r);
-    if (g_.region.whole_domain) {
-      child.inner = child.core;
-      child.outer = child.core;
-    } else {
-      child.inner = decode_range_stats(r);
-      child.outer = decode_range_stats(r);
-    }
-    const std::size_t ci = child_index(sched_.tree_, receiver, msg.from);
-    g_.child_partial[receiver][ci] = child;
-    g_.child_partial_epoch[receiver][ci] = epoch_;
-    accum_[receiver].combine(child);
-    SENSORNET_EXPECTS(pending_[receiver] > 0);
-    if (--pending_[receiver] == 0) respond(net, receiver);
-  }
-
- private:
-  /// Computes the node's local bundle, serves clean child edges from the
-  /// parent-side partial cache, and descends only into subtrees that changed
-  /// since their partial was taken.
-  void activate(sim::Network& net, NodeId node) {
-    accum_[node] = sched_.local_bundle(node, g_);
-    const auto& kids = sched_.tree_.children[node];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      const bool fresh = sched_.dirty_.edge_fresh(
-          node, ci, g_.child_partial_epoch[node][ci]);
-      obs::TraceRing& ring = obs::TraceRing::global();
-      if (fresh) {
-        accum_[node].combine(g_.child_partial[node][ci]);
-        ++sched_.stats_.edges_skipped;
-        if (ring.enabled()) {
-          ring.instant("edge.cached", "service", net.now(), 0, "node", node,
-                       "child", kids[ci]);
-        }
-        continue;
-      }
-      if (ring.enabled()) {
-        ring.instant("edge.descend", "service", net.now(), 0, "node", node,
-                     "child", kids[ci]);
-      }
-      BitWriter w;
-      w.write_bit(true);
-      net.send(sim::Message::make(node, kids[ci], g_.session, kRequestKind,
-                                  std::move(w)));
-      ++pending_[node];
-      ++sched_.stats_.edges_descended;
-    }
-    if (pending_[node] == 0) respond(net, node);
-  }
-
-  void respond(sim::Network& net, NodeId node) {
-    if (node == sched_.tree_.root) return;  // root keeps the result
-    const StatsBundle& b = accum_[node];
-    BitWriter w;
-    encode_range_stats(w, b.core);
-    if (!g_.region.whole_domain) {
-      encode_range_stats(w, b.inner);
-      encode_range_stats(w, b.outer);
-    }
-    net.send(sim::Message::make(node, sched_.tree_.parent[node], g_.session,
-                                kResponseKind, std::move(w)));
-  }
-
-  SharedPlanScheduler& sched_;
-  Group& g_;
-  std::uint32_t epoch_;
-  std::vector<std::uint32_t> pending_;
-  std::vector<StatsBundle> accum_;
-};
 
 // ---- scheduler ------------------------------------------------------------
 
@@ -236,14 +101,8 @@ GroupId SharedPlanScheduler::ensure_stats_group(
   const auto id = static_cast<GroupId>(groups_.size());
   auto g = std::make_unique<Group>();
   g->family = query::AggregateFamily::kStats;
-  g->region = region;
+  g->state.region = region;
   g->session = next_session_++;
-  g->child_partial.resize(tree_.node_count());
-  g->child_partial_epoch.resize(tree_.node_count());
-  for (NodeId u = 0; u < tree_.node_count(); ++u) {
-    g->child_partial[u].resize(tree_.children[u].size());
-    g->child_partial_epoch[u].assign(tree_.children[u].size(), kInvalidEpoch);
-  }
   if (!region.whole_domain) {
     // Nodes must learn the region and margin they bracket — paid once per
     // group, amortized over every subscriber and epoch.
@@ -272,7 +131,7 @@ GroupId SharedPlanScheduler::ensure_distinct_group(
   const auto id = static_cast<GroupId>(groups_.size());
   auto g = std::make_unique<Group>();
   g->family = query::AggregateFamily::kDistinct;
-  g->region = region;
+  g->state.region = region;
   g->registers = registers;
   g->session = next_session_++;
   if (!region.whole_domain) {
@@ -295,11 +154,14 @@ const StatsBundle& SharedPlanScheduler::collect_stats(GroupId group,
   SENSORNET_EXPECTS(group < groups_.size());
   Group& g = *groups_[group];
   SENSORNET_EXPECTS(g.family == query::AggregateFamily::kStats);
-  if (g.last_collect_epoch == epoch) return g.root_bundle;  // idempotent
+  if (g.state.epoch == epoch) return g.state.root.bundle;  // idempotent
   const SimTime t0 = net_.now();
-  StatsWave wave(*this, g, epoch);
-  g.root_bundle = wave.execute(net_);
-  g.last_collect_epoch = epoch;
+  cube::BundleSpec spec;
+  spec.region = g.state.region;
+  spec.margin = static_cast<Value>(horizon_epochs_) * max_delta_;
+  spec.domain_bound = max_value_bound_;
+  cube::refresh(net_, tree_, dirty_, spec, g.session, epoch, g.state,
+                stats_.edges_descended, stats_.edges_skipped);
   ++stats_.stats_waves;
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
@@ -307,7 +169,7 @@ const StatsBundle& SharedPlanScheduler::collect_stats(GroupId group,
                   "group", group, "epoch", epoch);
   }
   mirror_plan_stats(stats_);
-  return g.root_bundle;
+  return g.state.root.bundle;
 }
 
 double SharedPlanScheduler::collect_distinct(GroupId group,
@@ -315,10 +177,10 @@ double SharedPlanScheduler::collect_distinct(GroupId group,
   SENSORNET_EXPECTS(group < groups_.size());
   Group& g = *groups_[group];
   SENSORNET_EXPECTS(g.family == query::AggregateFamily::kDistinct);
-  if (g.last_collect_epoch == epoch) return g.distinct_estimate;
-  const RegionView view(g.region);
+  if (g.state.epoch == epoch) return g.distinct_estimate;
+  const RegionView view(g.state.region);
   const proto::LocalItemView& item_view =
-      g.region.whole_domain ? proto::raw_item_view()
+      g.state.region.whole_domain ? proto::raw_item_view()
                             : static_cast<const proto::LocalItemView&>(view);
   const SimTime t0 = net_.now();
   if (g.registers == 0) {
@@ -331,7 +193,7 @@ double SharedPlanScheduler::collect_distinct(GroupId group,
                                     item_view)
             .estimate;
   }
-  g.last_collect_epoch = epoch;
+  g.state.epoch = epoch;
   ++stats_.distinct_waves;
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {

@@ -17,11 +17,14 @@
 // collection wave then descends only into subtrees that changed since the
 // group's cached partial for that edge — unchanged subtrees are answered
 // from the parent-side cache without a single message. A fully quiescent
-// network collects for free.
+// network collects for free. A stats group is a cube::MaintainedRegion and
+// collects through cube::refresh, the same incremental proto::TreeWave that
+// refreshes a cube cell.
 //
 // The scheduler assumes the service's deployment discipline: lossless links
-// (tree waves stall under loss) and serial execution (one collection at a
-// time on the shared simulated medium).
+// and serial execution (one collection at a time on the shared simulated
+// medium). A lost message leaves a collection wave without its root
+// result, and TreeWave ends every such wave in ProtocolError.
 #pragma once
 
 #include <cstdint>
@@ -98,10 +101,7 @@ class SharedPlanScheduler {
 
  private:
   struct Group;
-  class StatsWave;
   class RegionView;
-
-  StatsBundle local_bundle(NodeId node, const Group& g) const;
 
   sim::Network& net_;
   const net::SpanningTree& tree_;

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/mathutil.hpp"
 #include "src/common/workload.hpp"
@@ -143,6 +146,129 @@ TEST(TreeWave, RoundsEqualTwiceTreeHeight) {
   TreeWave<CountAgg> wave(tree, 1);
   wave.execute(net, {Predicate::always_true()});
   EXPECT_EQ(net.now(), 2 * tree.height());
+}
+
+// ---- edge policies ----------------------------------------------------------
+
+using EdgeLog = std::vector<std::pair<NodeId, NodeId>>;  // (node, child)
+
+/// Scripted edge policy: a verdict per child node (absent = descend); a
+/// cached edge folds `cached_value` into the accumulator. Logs every reply
+/// the wave hands to collected().
+struct ScriptedEdges {
+  const net::SpanningTree* tree = nullptr;
+  std::map<NodeId, EdgeAction> verdict;
+  std::uint64_t cached_value = 0;
+  EdgeLog* log = nullptr;
+
+  EdgeAction edge(NodeId node, std::size_t ci, std::uint64_t& acc) {
+    const auto it = verdict.find(tree->children[node][ci]);
+    if (it == verdict.end()) return EdgeAction::kDescend;
+    if (it->second == EdgeAction::kCached) acc += cached_value;
+    return it->second;
+  }
+  void collected(NodeId node, NodeId child, std::uint64_t&& /*in*/) {
+    log->emplace_back(node, child);
+  }
+};
+
+/// Node u holds the single reading u + 1.
+sim::Network make_counting_network(const net::Graph& g) {
+  sim::Network net(g, 1);
+  ValueSet xs(g.node_count());
+  std::iota(xs.begin(), xs.end(), Value{1});
+  net.set_one_item_per_node(xs);
+  return net;
+}
+
+/// Sum of the readings in the subtree below `top` (inclusive).
+std::uint64_t subtree_sum(const sim::Network& net,
+                          const net::SpanningTree& tree, NodeId top) {
+  std::uint64_t sum = 0;
+  std::vector<NodeId> stack{top};
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    sum += static_cast<std::uint64_t>(net.items(u)[0]);
+    for (const NodeId c : tree.children[u]) stack.push_back(c);
+  }
+  return sum;
+}
+
+TEST(TreeWaveEdges, CachedEdgeSendsNothingAndFoldsItsPartial) {
+  sim::Network net = make_counting_network(net::make_line(6));
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  EdgeLog log;
+  TreeWave<SumAgg, ScriptedEdges> wave(
+      tree, 1, raw_item_view(), {},
+      ScriptedEdges{&tree, {{3, EdgeAction::kCached}}, 1000, &log});
+  // Nodes 0..2 answer for themselves; the subtree below 2 is the cache's.
+  EXPECT_EQ(wave.execute(net, {Predicate::always_true()}), 1u + 2 + 3 + 1000);
+  // Two descended edges, one request and one response each.
+  EXPECT_EQ(net.summary().total_messages, 4u);
+  EXPECT_EQ(log, (EdgeLog{{1, 2}, {0, 1}}));
+}
+
+TEST(TreeWaveEdges, PrunedEdgeContributesNothing) {
+  sim::Network net = make_counting_network(net::make_line(6));
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  EdgeLog log;
+  TreeWave<SumAgg, ScriptedEdges> wave(
+      tree, 1, raw_item_view(), {},
+      ScriptedEdges{&tree, {{3, EdgeAction::kPrune}}, 1000, &log});
+  EXPECT_EQ(wave.execute(net, {Predicate::always_true()}), 1u + 2 + 3);
+  EXPECT_EQ(net.summary().total_messages, 4u);
+  EXPECT_EQ(log, (EdgeLog{{1, 2}, {0, 1}}));
+}
+
+TEST(TreeWaveEdges, CollectedSeesEachRespondingChildExactlyOnce) {
+  sim::Network net = make_counting_network(net::make_grid(5, 5));
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 12);
+  EdgeLog log;
+  TreeWave<SumAgg, ScriptedEdges> wave(tree, 1, raw_item_view(), {},
+                                       ScriptedEdges{&tree, {}, 0, &log});
+  EXPECT_EQ(wave.execute(net, {Predicate::always_true()}), 25u * 26 / 2);
+  EdgeLog expected;
+  for (NodeId u = 0; u < tree.node_count(); ++u) {
+    if (u != tree.root) expected.emplace_back(tree.parent[u], u);
+  }
+  std::sort(log.begin(), log.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(log, expected);
+}
+
+TEST(TreeWaveEdges, MidTreePruneStillYieldsTheRootResult) {
+  sim::Network net = make_counting_network(net::make_grid(6, 6));
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  // Prune below an interior node two levels down, which still has children
+  // of its own, and cache one of the root's edges.
+  NodeId mid = 0;
+  for (NodeId u = 0; u < tree.node_count(); ++u) {
+    if (tree.depth[u] == 2 && !tree.children[u].empty()) {
+      mid = u;
+      break;
+    }
+  }
+  ASSERT_NE(mid, 0u);
+  const NodeId pruned = tree.children[mid].front();
+  const NodeId cached = tree.children[tree.root].back();
+  ASSERT_NE(tree.parent[mid], cached);
+  EdgeLog log;
+  TreeWave<SumAgg, ScriptedEdges> wave(
+      tree, 1, raw_item_view(), {},
+      ScriptedEdges{&tree,
+                    {{pruned, EdgeAction::kPrune},
+                     {cached, EdgeAction::kCached}},
+                    7,
+                    &log});
+  const std::uint64_t total = subtree_sum(net, tree, tree.root);
+  EXPECT_EQ(wave.execute(net, {Predicate::always_true()}),
+            total - subtree_sum(net, tree, pruned) -
+                subtree_sum(net, tree, cached) + 7);
+  for (const auto& [node, child] : log) {
+    EXPECT_NE(child, pruned);
+    EXPECT_NE(child, cached);
+  }
 }
 
 class WaveOverTopologies : public ::testing::TestWithParam<net::TopologyKind> {

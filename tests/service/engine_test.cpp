@@ -137,6 +137,82 @@ TEST(QueryService, UpdateBatchesAreValidatedAgainstTheDriftModel) {
   EXPECT_THROW(g.svc.run_epoch(dup), PreconditionError);
 }
 
+TEST(QueryService, ARejectedBatchChangesNothing) {
+  Fixture f;
+  f.svc.submit("SELECT SUM(v) FROM s EVERY 1 EPOCHS").value();
+  f.svc.run_epoch({});
+  // The first update is valid, the second breaks the drift model: the batch
+  // is refused whole, so neither the network nor the epoch moves.
+  const std::vector<SensorUpdate> batch{{35, f.mirror[35] + 4},
+                                        {20, f.mirror[20] + 50}};
+  EXPECT_THROW(f.svc.run_epoch(batch), PreconditionError);
+  EXPECT_EQ(f.net.items(35)[0], f.mirror[35]);
+  EXPECT_EQ(f.svc.epoch(), 1u);
+
+  const auto answers = f.svc.run_epoch({});
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_TRUE(answers[0].exact);
+  double network_sum = 0.0;
+  for (NodeId u = 0; u < f.net.node_count(); ++u) {
+    network_sum += static_cast<double>(f.net.items(u)[0]);
+  }
+  EXPECT_DOUBLE_EQ(answers[0].value, network_sum);
+  EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 0, kBound));
+  // The same updates, sent as a valid batch, still apply.
+  const std::vector<SensorUpdate> valid{f.drift(35, 4)};
+  const auto after = f.svc.run_epoch(valid);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_DOUBLE_EQ(after[0].value, f.exact("SUM", 0, kBound));
+}
+
+TEST(QueryService, AFullCacheKeepsTheAnswersPlannedFromIt) {
+  // One entry of room: the exact subscriber's fresh store evicts the entry
+  // the tolerant subscriber was planned to be served from.
+  ServiceConfig cfg;
+  cfg.cache_capacity = 1;
+  Fixture f(cfg);
+  f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 100 "
+               "EVERY 1 EPOCHS")
+      .value();
+  f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 150 AND 290 "
+               "EVERY 1 EPOCHS ERROR 0.9")
+      .value();
+  f.svc.run_epoch({});
+  const auto answers = f.svc.run_epoch({});
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_FALSE(answers[0].from_cache);
+  EXPECT_TRUE(answers[1].from_cache);
+  EXPECT_LE(std::abs(answers[1].value - f.exact("SUM", 150, 290)),
+            answers[1].error_bound);
+}
+
+TEST(QueryService, ACacheFilledByOneShotsKeepsTheAnswersPlannedFromIt) {
+  Fixture f;  // default capacity
+  f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 200 AND 280 "
+               "EVERY 2 EPOCHS")
+      .value();
+  f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN 0 AND 150 "
+               "EVERY 1 EPOCHS ERROR 0.9")
+      .value();
+  f.svc.run_epoch({});  // only the tolerant subscriber is due: it stores
+  // Distinct ranged one-shots fill the rest of the cache at the same epoch;
+  // the tolerant subscriber's entry sorts first among the stalest.
+  for (int i = 0; i < 1023; ++i) {
+    const int lo = 300 + i % 500;
+    const int hi = lo + 1 + i / 500;
+    f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN " +
+                 std::to_string(lo) + " AND " + std::to_string(hi))
+        .value();
+  }
+  const auto answers = f.svc.run_epoch({});
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_FALSE(answers[0].from_cache);
+  EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 200, 280));
+  EXPECT_TRUE(answers[1].from_cache);
+  EXPECT_LE(std::abs(answers[1].value - f.exact("COUNT", 0, 150)),
+            answers[1].error_bound);
+}
+
 TEST(QueryService, CacheServesTolerantContinuousQueries) {
   Fixture f;
   // Whole-domain AVG with a loose tolerance: after the first collection the
