@@ -5,7 +5,7 @@
 //
 //  1. Shared vs naive bits — an overlapping continuous-query lane (four
 //     regions, sixteen `EVERY n EPOCHS` subscribers) runs twice on
-//     identical deployments: once through the shared-plan scheduler
+//     identical deployments: once through the service's region store
 //     (grouped collections, dirty-mark incremental descent, bounded-error
 //     cache) and once in naive mode (every due query re-runs the one-shot
 //     executor). The claim gated here and in CI: shared ships at least 2x

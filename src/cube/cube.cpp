@@ -169,7 +169,7 @@ void Cube::refresh_cell(query::CubeCellRef ref, std::uint32_t epoch) {
   const std::size_t ordinal = cell_ordinal(ref);
   const SimTime t0 = net_.now();
   // The session identifies the cell: stable across epochs, disjoint from
-  // the scheduler's 0x7000 group range and the residue range.
+  // the region store's 0x7000 group range and the residue range.
   refresh(net_, tree_, dirty_, spec_for(c.region),
           kRefreshSessionBase + static_cast<std::uint32_t>(ordinal), epoch, c,
           stats_.cell_edges_descended, stats_.cell_edges_skipped);
@@ -283,32 +283,23 @@ ServeResult Cube::serve(const query::CostedPlan& plan, std::uint32_t epoch) {
 
 std::optional<BracketedAnswer> Cube::stale_bracket(
     const query::CostedPlan& plan, query::AggregateKind agg,
-    std::uint32_t now_epoch) const {
-  if (query::family(agg) != query::AggregateFamily::kStats) return std::nullopt;
+    std::optional<double> epsilon, std::uint32_t now_epoch) const {
+  const DriftModel model{max_value_bound_, config_.max_delta,
+                         config_.horizon_epochs};
   BundleBracket br;
   RangeStats core;  // the answer's point value: the frozen composition
   for (const query::PlanStep& step : plan.steps) {
     if (step.kind != query::StepKind::kCubeCell) return std::nullopt;
     const MaintainedRegion& c = cell(step.cell);
-    if (c.epoch == DirtyTracker::kInvalidEpoch || now_epoch < c.epoch) {
-      return std::nullopt;
-    }
-    const std::uint32_t staleness = now_epoch - c.epoch;
-    if (!c.region.whole_domain && staleness > config_.horizon_epochs) {
-      return std::nullopt;  // margins no longer bracket this cell
-    }
-    const double d = static_cast<double>(staleness) *
-                     static_cast<double>(config_.max_delta);
-    compose_bracket(br, bracket_bundle(c.root.bundle, c.region.whole_domain, d,
-                                       static_cast<double>(c.region.lo),
-                                       static_cast<double>(c.region.hi)));
+    const std::optional<BundleBracket> cb = drift_bracket(c, now_epoch, model);
+    if (!cb) return std::nullopt;
+    compose_bracket(br, *cb);
     core.combine(c.root.bundle.core);
   }
   const std::optional<BracketedAnswer> out = bracketed_answer(agg, core, br);
-  if (out) {
-    ++stats_.stale_serves;
-    mirror_stats();
-  }
+  if (!out || error_slack(*out, epsilon) < 0.0) return std::nullopt;
+  ++stats_.stale_serves;
+  mirror_stats();
   return out;
 }
 

@@ -11,12 +11,12 @@
 // PASS-style StatsBundle (COUNT/SUM/MIN/MAX over the cell, its margin-shrunk
 // inner and margin-grown outer companions) and, when configured, an HLL
 // sketch for COUNT_DISTINCT. Partials are kept incrementally fresh by the
-// same coalesced dirty-mark wave the shared-plan scheduler rides
+// same coalesced dirty-mark wave the service's region store rides
 // (cube::DirtyTracker): a cell refresh descends only into subtrees that
 // changed since the cached partial was taken, so a quiescent network
 // refreshes for free. A cell is a MaintainedRegion and refreshes through
 // cube::refresh (wave.hpp), the same incremental proto::TreeWave that
-// collects a shared-plan stats group.
+// collects a shared stats group.
 //
 // The planner sees the cube through the query::CubeCatalog interface —
 // geometry plus a deterministic bit-cost model — and decomposes a range
@@ -103,8 +103,8 @@ struct ServeResult {
 
 class Cube final : public query::CubeCatalog {
  public:
-  /// `dirty` is the shared freshness oracle (typically owned by the
-  /// scheduler); it must outlive the cube, and its note_updates() must run
+  /// `dirty` is the shared freshness oracle (in the service, the region
+  /// store's); it must outlive the cube, and its note_updates() must run
   /// each epoch before serves of that epoch.
   Cube(sim::Network& net, const net::SpanningTree& tree, Value max_value_bound,
        const DirtyTracker& dirty, CubeConfig config);
@@ -137,12 +137,14 @@ class Cube final : public query::CubeCatalog {
   /// install broadcast.
   ServeResult serve(const query::CostedPlan& plan, std::uint32_t epoch);
 
-  /// Zero-bit serve attempt: composes per-cell drift brackets at each
-  /// cell's own staleness. Returns nullopt when the plan has non-cell steps,
-  /// a cell was never refreshed, a ranged cell is staler than the horizon,
-  /// or the aggregate is not bracketable from stats bundles.
+  /// Zero-bit serve: composes per-cell drift brackets (drift_bracket) at
+  /// each cell's own staleness and counts a stale serve. Returns nullopt when
+  /// the plan has non-cell steps, a cell has no drift bracket, the aggregate
+  /// is not bracketable from stats bundles, or the composed bound fails the
+  /// ERROR tolerance `epsilon` (error_slack; absent = exact required).
   std::optional<BracketedAnswer> stale_bracket(const query::CostedPlan& plan,
                                                query::AggregateKind agg,
+                                               std::optional<double> epsilon,
                                                std::uint32_t now_epoch) const;
 
   const CubeStats& stats() const { return stats_; }

@@ -1,12 +1,12 @@
-// Coalesced dirty-mark propagation over the spanning tree (extracted from
-// the PR 8 shared-plan scheduler so the multiresolution cube can piggyback
-// on the same wave).
+// Coalesced dirty-mark propagation over the spanning tree, shared by every
+// incremental consumer: the service's region store and the multiresolution
+// cube ride the same wave.
 //
 // Sensors that change push a 1-bit dirty mark up the tree once per epoch
 // (each node forwards at most one mark per epoch, so a batch costs at most
 // one message per distinct root-path edge). Every interior node then knows,
 // per child edge, the epoch of the last change below it — the freshness
-// oracle that lets any incremental collection (scheduler stats waves, cube
+// oracle that lets any incremental collection (shared stats groups, cube
 // cell refreshes) skip subtrees that have not changed since their cached
 // partial was taken.
 #pragma once

@@ -1,6 +1,7 @@
 #include "src/cube/stats.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/common/codec.hpp"
 
@@ -122,6 +123,12 @@ BracketedAnswer make_answer(double value, double lo, double hi) {
   a.bound = std::max({value - lo, hi - value, 0.0});
   a.exact = a.bound == 0.0;
   return a;
+}
+
+double error_slack(const BracketedAnswer& a, std::optional<double> epsilon) {
+  const double tolerance =
+      epsilon ? *epsilon * std::max(1.0, std::abs(a.value)) : 0.0;
+  return tolerance - a.bound;
 }
 
 std::optional<BracketedAnswer> bracketed_answer(query::AggregateKind agg,

@@ -1,5 +1,5 @@
-// Range-statistics primitives shared by the multiresolution cube, the
-// shared-plan scheduler, and the result cache.
+// Range-statistics primitives shared by the multiresolution cube and the
+// service's region store.
 //
 // A RangeStats is COUNT/SUM/MIN/MAX over one value range; a StatsBundle is
 // the PASS-style triple of those over a core region and its margin-shrunk
@@ -13,12 +13,12 @@
 //   MAX   in [max(lo, inner.max - d), min(hi, outer.max + d)]
 //
 // where [lo, hi] is the region itself (a range aggregate can never leave its
-// own range — both MIN/MAX rails are clamped; the pre-PR 10 result cache
-// clamped only one side of each). bracket_bundle() is the one home of this
-// arithmetic: the result cache applies it to a whole cached bundle, the cube
-// applies it per cell and composes the intervals with compose_bracket().
+// own range — both MIN/MAX rails are clamped). bracket_bundle() is the one
+// home of this arithmetic: cube::drift_bracket (wave.hpp) applies it to a
+// maintained region's root bundle, which the service's region store
+// brackets whole and the cube composes per cell with compose_bracket().
 // bracketed_answer() is the one home of the per-aggregate step from a
-// bracket to an answer, for both.
+// bracket to an answer, and error_slack() of the ERROR gate, for both.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +105,11 @@ struct BracketedAnswer {
 /// Collapses an interval around a point answer (bound = max distance to
 /// either rail, floored at zero).
 BracketedAnswer make_answer(double value, double lo, double hi);
+
+/// The ERROR gate: how far the answer's bound lies inside the tolerance
+/// `epsilon * max(1, |value|)` (0 without ERROR: exact required). Negative
+/// when the answer fails the query's ERROR.
+double error_slack(const BracketedAnswer& a, std::optional<double> epsilon);
 
 /// The answer to stats aggregate `agg` from its frozen point values `core`
 /// and their bracket `br`. Nullopt when the aggregate is not bracketable from

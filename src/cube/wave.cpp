@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/codec.hpp"
+#include "src/common/error.hpp"
 #include "src/obs/trace.hpp"
 
 namespace sensornet::cube {
@@ -113,6 +114,27 @@ void BundleSpec::combine(Partial& acc, const Partial& in,
                          const Request& req) const {
   acc.bundle.combine(in.bundle);
   if (req.want_hll) acc.hll->merge(*in.hll).value();
+}
+
+// ---- bracket policy -------------------------------------------------------
+
+std::optional<BundleBracket> drift_bracket(const MaintainedRegion& m,
+                                           std::uint32_t now_epoch,
+                                           const DriftModel& model) {
+  if (m.epoch == DirtyTracker::kInvalidEpoch) return std::nullopt;
+  SENSORNET_EXPECTS(now_epoch >= m.epoch);
+  const std::uint32_t staleness = now_epoch - m.epoch;
+  const query::RegionSignature& r = m.region;
+  // Ranged regions are bracketed by the inner/outer margins, which only
+  // cover drifts up to the horizon.
+  if (!r.whole_domain && staleness > model.horizon_epochs) return std::nullopt;
+  const double d =
+      static_cast<double>(staleness) * static_cast<double>(model.max_delta);
+  // A range aggregate cannot leave its range, nor any value the domain.
+  const Value lo = r.whole_domain ? 0 : r.lo;
+  const Value hi = r.whole_domain ? model.domain_bound : r.hi;
+  return bracket_bundle(m.root.bundle, r.whole_domain, d,
+                        static_cast<double>(lo), static_cast<double>(hi));
 }
 
 // ---- incremental refresh --------------------------------------------------

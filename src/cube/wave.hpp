@@ -1,4 +1,4 @@
-// The stats-bundle convergecast shared by the shared-plan scheduler and the
+// The stats-bundle convergecast shared by the service's region store and the
 // multiresolution cube, on proto::TreeWave.
 //
 // Every stats collection in the service ships the same partial: a
@@ -104,6 +104,24 @@ struct MaintainedRegion {
   BundlePartial root;
   std::uint32_t epoch = DirtyTracker::kInvalidEpoch;  // of the last refresh
 };
+
+/// The drift model a maintained region is bracketed under: a reading moves
+/// by at most `max_delta` per epoch and stays in [0, domain_bound]; bundles
+/// carry margins of horizon_epochs * max_delta.
+struct DriftModel {
+  Value domain_bound = 0;
+  Value max_delta = 0;
+  std::uint32_t horizon_epochs = 0;
+};
+
+/// The bracket policy: the drift bracket of `m`'s root bundle at
+/// `now_epoch` (>= m.epoch), with d = staleness * max_delta and MIN/MAX
+/// rails clamped to the region, or to [0, domain_bound] for a whole-domain
+/// region. Nullopt when `m` was never refreshed, or is ranged and staler
+/// than the horizon its margins cover.
+std::optional<BundleBracket> drift_bracket(const MaintainedRegion& m,
+                                           std::uint32_t now_epoch,
+                                           const DriftModel& model);
 
 /// Edge policy of incremental waves: an edge whose stored partial the dirty
 /// tracker certifies fresh is folded from the store (kCached), every other

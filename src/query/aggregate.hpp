@@ -1,7 +1,7 @@
 // The one aggregate-kind vocabulary of the query stack.
 //
 // Before PR 10 three near-duplicate enums described "what kind of aggregate
-// is this": the AST's kind, the shared-plan scheduler's group family, and an
+// is this": the AST's kind, the shared-aggregation group family, and an
 // implicit switch in the service engine's routing. They are unified here:
 // every layer speaks AggregateKind, and family() is the single mapping onto
 // the three execution families the system distinguishes:

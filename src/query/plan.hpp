@@ -40,10 +40,10 @@ enum class Strategy {
 
 const char* strategy_name(Strategy s);
 
-/// Canonical value-region a query aggregates over — the grouping key of the
-/// query service's shared-aggregation scheduler and the lookup key of its
-/// result cache. Every WHERE form canonicalizes to one inclusive interval
-/// [lo, hi] of the value domain [0, max_value_bound].
+/// Canonical value-region a query aggregates over — the key of the query
+/// service's region store (shared groups and bracketed lookups alike).
+/// Every WHERE form canonicalizes to one inclusive interval [lo, hi] of the
+/// value domain [0, max_value_bound].
 struct RegionSignature {
   Value lo = 0;
   Value hi = 0;

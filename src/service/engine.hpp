@@ -4,23 +4,28 @@
 // time, paying a full tree aggregation per question. The service is the
 // multi-tenant layer on top: clients register one-shot and continuous
 // (`EVERY n EPOCHS`) queries, sensor updates arrive in per-epoch batches,
-// and due queries are answered each epoch with four cost levers:
+// and due queries are answered each epoch.
 //
-//   1. Shared aggregation — live queries are grouped by (region, aggregate
-//      family); one spanning-tree collection per epoch serves every
-//      subscriber of a group (see shared_plan.hpp).
-//   2. Incremental re-evaluation — collections descend only into subtrees
-//      that changed since the group's last visit, driven by the scheduler's
-//      dirty marks.
-//   3. Bounded-error result cache — a query with an ERROR tolerance can be
-//      answered from a stale stats bundle when the deterministic drift
-//      bound (staleness x max_delta, see result_cache.hpp) fits its
-//      epsilon: zero bits on the air.
-//   4. Multiresolution cube — with use_cube on, cube-eligible queries route
-//      through cube::Cube: the planner decomposes the region into the
-//      bit-cheapest mix of maintained cube cells and residue collections,
-//      and a serve tries (a) the result cache, (b) per-cell drift brackets
-//      at zero bits, (c) a fresh cube serve, in that order.
+// Admission routes a query one of two ways. Median/quantile queries, and
+// every query in naive mode, are served by the per-query executor. The rest
+// are served from shared state: the region store (region_store.hpp), whose
+// pinned entries are the shared stats groups, and, with use_cube on, the
+// multiresolution cube (cube::Cube), whose planner covers the region with
+// the bit-cheapest mix of maintained cells and residue collections. Shared
+// state is refreshed incrementally: waves descend only into subtrees whose
+// dirty marks show a change since the last visit.
+//
+// One serve routine answers every query, trying the zero-bit sources first:
+//
+//   1. the store's drift bracket of the query's region (use_cache on, stats
+//      aggregates), when it meets the query's ERROR;
+//   2. the cube cells' composed drift brackets (cube-routed stats queries);
+//   3. the fresh collector chosen at admission: the group's shared wave
+//      (the first due subscriber of an epoch pays it, the rest ride it), a
+//      fresh cube serve, or the executor.
+//
+// A stats group's subscribers are answered alike: if any due subscriber
+// needs a fresh collection, all of them get the fresh answer that epoch.
 //
 // Concurrency model: submit_batch() parses, plans and canonicalizes regions
 // on a deterministic work-stealing farm (pure, per-cell work); everything
@@ -43,8 +48,7 @@
 #include "src/cube/cube.hpp"
 #include "src/query/executor.hpp"
 #include "src/query/planner.hpp"
-#include "src/service/result_cache.hpp"
-#include "src/service/shared_plan.hpp"
+#include "src/service/region_store.hpp"
 
 namespace sensornet::service {
 
@@ -55,14 +59,18 @@ struct ServiceConfig {
   /// on the update feed; the cache's bounds are sound exactly because of
   /// this).
   Value max_delta = 4;
-  /// Margin (in epochs) baked into collected bundles; cache entries bracket
-  /// ranged regions for this many epochs of staleness.
+  /// Margin (in epochs) baked into collected bundles; stored bundles
+  /// bracket ranged regions for this many epochs of staleness.
   std::uint32_t cache_horizon_epochs = 8;
+  /// Bounds the region store's root-only entries (cube serves' composed
+  /// bundles). Pinned entries, the shared stats groups, are never evicted.
   std::size_t cache_capacity = 1024;
   /// Off = the naive baseline: every due query re-runs the one-shot
   /// executor, no marks, no cache. The bench's comparator.
   bool share_aggregation = true;
-  /// Cache applies to the shared stats path and the cube path.
+  /// Serve stats queries from the region store's drift brackets, and keep
+  /// cube serves' composed bundles there. Off: every answer is collected
+  /// fresh or, for cube-routed queries, bracketed by the cube's cells.
   bool use_cache = true;
   /// Route cube-eligible queries through the multiresolution cube. Off by
   /// default: the cube pays cell-refresh bits, which only amortize under a
@@ -110,8 +118,6 @@ struct Admission {
 struct ServiceTelemetry {
   std::uint64_t answers = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t fresh_stats_answers = 0;
-  std::uint64_t distinct_answers = 0;
   std::uint64_t executor_runs = 0;
   /// Cube-path serves: fresh (cells refreshed / residues run) vs stale
   /// (zero-bit per-cell drift brackets that met the tolerance).
@@ -127,7 +133,7 @@ struct ServiceTelemetry {
 /// the service-level mark wave) reproduces the network total.
 struct QueryCost {
   std::uint64_t answers = 0;
-  std::uint64_t cache_hits = 0;    // answered from the result cache
+  std::uint64_t cache_hits = 0;    // answered from the region store
   std::uint64_t cube_stale = 0;    // answered from cube cell brackets
   std::uint64_t fresh = 0;         // answered by a collection / executor run
   std::uint64_t bits_on_air = 0;   // payload + header bits this query caused
@@ -196,8 +202,7 @@ class QueryService {
   std::size_t live_queries() const { return live_.size(); }
 
   const ServiceTelemetry& telemetry() const { return telemetry_; }
-  const SharedPlanStats& plan_stats() const { return scheduler_->stats(); }
-  const ResultCache& cache() const { return cache_; }
+  const SharedPlanStats& plan_stats() const { return store_.stats(); }
   /// Null when use_cube is off.
   const cube::Cube* cube() const { return cube_.get(); }
   const query::Planner& planner() const { return planner_; }
@@ -211,9 +216,7 @@ class QueryService {
  private:
   /// How the service routes a query each time it is due.
   enum class Path {
-    kStats,     // shared stats-bundle group + result cache
-    kDistinct,  // shared distinct group
-    kCube,      // multiresolution cube cover (cache -> brackets -> fresh)
+    kShared,    // the region store and, when cube-routed, the cube
     kExecutor,  // per-query one-shot executor (median/quantile, naive mode)
   };
 
@@ -223,7 +226,8 @@ class QueryService {
     query::CostedPlan plan;
     query::RegionSignature region;
     Path path = Path::kExecutor;
-    GroupId group = 0;  // kStats/kDistinct only
+    bool via_cube = false;  // kShared: the cube's cover, not a store group
+    GroupId group = 0;      // kShared without the cube: the store's group
     std::uint32_t registered_epoch = 0;
     std::uint32_t every = 0;  // 0 for one-shot
   };
@@ -239,35 +243,24 @@ class QueryService {
 
   ParsedQuery parse_and_plan(const std::string& text) const;
   Admission admit(ParsedQuery&& parsed);
-  Answer answer_fresh(const LiveQuery& lq);
-  /// Serves a lookup() hit the caller already holds — the cache is asked
-  /// exactly once per serve, so its hit counter matches answers served.
-  Answer answer_cached(const LiveQuery& lq, const CachedAnswer& hit);
-  /// The cube path's three-tier serve: result cache, then zero-bit per-cell
-  /// drift brackets, then a fresh cube serve under a re-costed plan.
-  Answer serve_cube(const LiveQuery& lq);
-  bool cache_could_serve(const LiveQuery& lq) const;
+  /// Answers `lq` now (see the file comment); `collect` skips the store's
+  /// bracket because a groupmate forces a fresh collection this epoch.
+  Answer serve(const LiveQuery& lq, bool collect);
 
   query::Deployment deployment_;
   ServiceConfig config_;
   query::Executor executor_;
-  std::unique_ptr<SharedPlanScheduler> scheduler_;
-  /// Built over the scheduler's DirtyTracker (one mark wave feeds both);
-  /// null when use_cube is off.
+  RegionStore store_;
+  /// Built over the store's DirtyTracker (one mark wave feeds both); null
+  /// when use_cube is off.
   std::unique_ptr<cube::Cube> cube_;
   /// Catalog-aware planner; all admissions and cube re-plans go through it.
   query::Planner planner_;
-  ResultCache cache_;
   TrialFarm farm_;
 
   std::uint32_t epoch_ = 0;
   QueryId next_id_ = 1;
   std::map<QueryId, LiveQuery> live_;  // ordered: answers come out by id
-  /// Stats groups already collected-and-stored this epoch (store-once guard).
-  std::vector<GroupId> stored_this_epoch_;
-  /// Regions already stored by the cube path this epoch (its store-once
-  /// guard — cube serves have no group id).
-  std::vector<query::RegionSignature> cube_stored_this_epoch_;
   ServiceTelemetry telemetry_;
 
   // ---- cost attribution ledgers (see TelemetrySnapshot) -----------------

@@ -1,0 +1,182 @@
+// The service's one store of maintained regions: shared aggregation and the
+// bounded-error result cache in one region-keyed map.
+//
+// TAG/TinyDB lineage: continuous queries over the same region should ride
+// one spanning-tree aggregation, not re-run it per client. Every entry is a
+// cube::MaintainedRegion (region, per-edge partials, root bundle, epoch),
+// keyed by its region, of one of two kinds:
+//
+//   pinned    — a shared stats group: COUNT/SUM/AVG/MIN/MAX subscribers of
+//               one region share one stats-bundle wave per epoch. The install
+//               broadcast is paid once, the per-edge partials are refreshed
+//               by cube::refresh, and the entry is never evicted.
+//   root-only — a cube serve's composed bundle (no per-edge state). Only
+//               these count against the capacity; the stalest goes first.
+//
+// COUNT_DISTINCT groups keep their (region, registers) memo beside the map:
+// a set-union or HLL wave per epoch, nothing to bracket.
+//
+// Refreshes are incremental. Sensors that change push a coalesced 1-bit
+// dirty mark up the tree (cube::DirtyTracker, shared with the cube), and a
+// refresh descends only into subtrees that changed since the entry's
+// partial for that edge was taken. A quiescent network refreshes for free.
+//
+// Lookups bracket the entry itself (the PASS idea): under the drift model a
+// bundle frozen at epoch t still brackets the current aggregate at t + s
+// (cube::drift_bracket). A lookup serves when the bracket meets the query's
+// ERROR (cube::error_slack); without ERROR only a zero bound serves. At
+// staleness 0 that holds for whole-domain regions, but a ranged bracket
+// still spans inner to outer margin, so exact ranged queries always collect.
+// Served answers cost zero bits.
+//
+// The store assumes the service's deployment discipline: lossless links and
+// serial execution. A lost message leaves a wave without its root result,
+// and TreeWave ends every such wave in ProtocolError.
+#pragma once
+
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "src/common/types.hpp"
+#include "src/cube/dirty.hpp"
+#include "src/cube/stats.hpp"
+#include "src/cube/wave.hpp"
+#include "src/net/spanning_tree.hpp"
+#include "src/query/aggregate.hpp"
+#include "src/query/plan.hpp"
+#include "src/sim/network.hpp"
+
+namespace sensornet::service {
+
+using cube::RangeStats;
+using cube::StatsBundle;
+using GroupId = std::uint32_t;
+
+/// Monotonic lookup outcomes. Every hit is a zero-bit answer; `exact_hits`
+/// is the bound == 0 subset. `hits` counts only lookup() successes — probe(),
+/// the service's planning pass, never counts a hit — so hits equals answers
+/// actually served from the store.
+struct CacheCounters {
+  std::uint64_t probes = 0;      // probe() calls
+  std::uint64_t lookups = 0;     // lookup() calls
+  std::uint64_t hits = 0;        // lookup() served an answer
+  std::uint64_t exact_hits = 0;  // ... with bound == 0
+  std::uint64_t misses = 0;      // bracket exists but fails the tolerance
+  std::uint64_t expired = 0;     // ranged entry older than the horizon
+  std::uint64_t absent = 0;      // no bundle held for the region at all
+};
+
+/// Wave telemetry — the sharing/incrementality story in numbers.
+struct SharedPlanStats {
+  std::uint64_t stats_waves = 0;       // stats-bundle refreshes executed
+  std::uint64_t distinct_waves = 0;    // distinct collections executed
+  std::uint64_t edges_descended = 0;   // request messages sent by stats waves
+  std::uint64_t edges_skipped = 0;     // child partials served from the store
+  std::uint64_t mark_messages = 0;     // dirty-mark messages shipped
+  std::uint64_t groups_created = 0;
+};
+
+class RegionStore {
+ public:
+  /// Bundles carry margins of horizon_epochs * max_delta, so ranged entries
+  /// bracket for that many epochs. `capacity` bounds root-only entries.
+  RegionStore(sim::Network& net, const net::SpanningTree& tree,
+              Value max_value_bound, Value max_delta,
+              std::uint32_t horizon_epochs, std::size_t capacity = 1024);
+
+  RegionStore(const RegionStore&) = delete;
+  RegionStore& operator=(const RegionStore&) = delete;
+
+  /// The shared stats group of `region`, pinned on first use. A ranged
+  /// group pays one install broadcast (nodes must learn the range and
+  /// margin they aggregate over; those bits are metered like any others).
+  GroupId pin_stats(const query::RegionSignature& region);
+  /// The distinct analogue; `registers` == 0 selects the exact set-union
+  /// wave, otherwise a hashed-HLL wave of that many registers.
+  GroupId pin_distinct(const query::RegionSignature& region,
+                       unsigned registers);
+
+  /// Records one epoch's sensor-update batch: stamps the updated nodes and
+  /// ships coalesced dirty marks up the tree (bits metered). Call after the
+  /// updates are applied and before any refresh of the same epoch.
+  void note_updates(std::span<const NodeId> updated, std::uint32_t epoch);
+
+  /// Brings a stats group to `epoch` with one incremental wave; idempotent
+  /// within an epoch (no bits). Returns the group's root bundle.
+  const StatsBundle& collect_stats(GroupId group, std::uint32_t epoch);
+  /// One distinct collection; idempotent within an epoch. Returns the
+  /// estimate (the exact count for register-less groups).
+  double collect_distinct(GroupId group, std::uint32_t epoch);
+
+  /// Holds a cube serve's composed bundle as a root-only entry. A pinned
+  /// region or an entry already taken at `epoch` is kept as it is.
+  void store(const query::RegionSignature& region, std::uint32_t epoch,
+             const StatsBundle& bundle);
+
+  /// The answer the region's entry brackets (cube::drift_bracket) when it
+  /// meets `epsilon` (cube::error_slack; absent = exact required); counts a
+  /// hit or the failure's kind. Call it only when a success will be served.
+  std::optional<cube::BracketedAnswer> lookup(
+      const query::RegionSignature& region, query::AggregateKind agg,
+      std::optional<double> epsilon, std::uint32_t now_epoch) const;
+  /// lookup() for the planning pass: a success counts nothing, since a
+  /// groupmate may still force a fresh collection. Failures still classify.
+  std::optional<cube::BracketedAnswer> probe(
+      const query::RegionSignature& region, query::AggregateKind agg,
+      std::optional<double> epsilon, std::uint32_t now_epoch) const;
+
+  /// The freshness oracle of every incremental refresh (the store's and
+  /// the cube's).
+  const cube::DirtyTracker& dirty() const { return dirty_; }
+  const CacheCounters& counters() const { return counters_; }
+  const SharedPlanStats& stats() const { return stats_; }
+  std::size_t size() const { return regions_.size(); }
+
+ private:
+  struct Entry {
+    cube::MaintainedRegion state;
+    std::optional<GroupId> group;  // set: pinned
+  };
+  /// One shared group: a pinned stats entry or a distinct memo.
+  struct Group {
+    std::uint32_t session = 0;
+    Entry* stats = nullptr;  // the pinned entry; null for distinct groups
+    query::RegionSignature region;
+    unsigned registers = 0;  // distinct: 0 = exact union wave
+    std::uint32_t epoch = cube::DirtyTracker::kInvalidEpoch;  // distinct
+    double estimate = 0.0;  // distinct
+  };
+
+  /// Registers a group under a fresh session and pays its install
+  /// broadcast; `stats` is the pinned entry of a stats group, else null.
+  GroupId add_group(const query::RegionSignature& region, Entry* stats,
+                    unsigned registers);
+  /// Traces a group's wave since `t0` and mirrors the wave stats.
+  void finish_wave(const char* name, GroupId group, std::uint32_t epoch,
+                   SimTime t0) const;
+  std::optional<cube::BracketedAnswer> check(
+      const query::RegionSignature& region, query::AggregateKind agg,
+      std::optional<double> epsilon, std::uint32_t now_epoch,
+      bool count_hit) const;
+
+  sim::Network& net_;
+  const net::SpanningTree& tree_;
+  cube::DriftModel model_;
+  std::size_t capacity_;
+  cube::DirtyTracker dirty_;
+  std::map<query::RegionSignature, Entry> regions_;
+  std::size_t root_only_ = 0;
+  std::vector<Group> groups_;
+  std::map<std::pair<query::RegionSignature, unsigned>, GroupId>
+      distinct_index_;
+  std::uint32_t next_session_ = 0x7000;
+  SharedPlanStats stats_;
+  // Outcome telemetry is observability, not state: const lookups may count.
+  mutable CacheCounters counters_;
+};
+
+}  // namespace sensornet::service

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,8 @@ namespace {
 constexpr Value kBound = 1000;
 constexpr Value kDelta = 4;     // CubeConfig default max_delta
 constexpr std::uint32_t kHorizon = 8;  // CubeConfig default horizon_epochs
+/// An ERROR no bracket fails: stale_bracket then returns every bracket.
+constexpr double kAnyError = std::numeric_limits<double>::infinity();
 
 /// The oracle: core stats over `region` computed directly from the
 /// installed items, no network involved.
@@ -199,7 +202,7 @@ TEST(Cube, StaleBracketContainsTheDriftedTruth) {
   const query::RegionSignature whole{0, kBound, true};
   const RangeStats truth = direct_core(f.net, whole);
   const auto check = [&](query::AggregateKind agg, double exact_now) {
-    const auto br = f.cube.stale_bracket(plan, agg, 3);
+    const auto br = f.cube.stale_bracket(plan, agg, kAnyError, 3);
     ASSERT_TRUE(br.has_value()) << agg_name(agg);
     EXPECT_LE(std::abs(exact_now - br->value), br->bound) << agg_name(agg);
   };
@@ -209,7 +212,8 @@ TEST(Cube, StaleBracketContainsTheDriftedTruth) {
   check(query::AggregateKind::kAvg,
         static_cast<double>(truth.sum) / static_cast<double>(truth.count));
   // Whole-domain membership is static: COUNT stays exact at any staleness.
-  const auto count = f.cube.stale_bracket(plan, query::AggregateKind::kCount, 3);
+  const auto count =
+      f.cube.stale_bracket(plan, query::AggregateKind::kCount, kAnyError, 3);
   ASSERT_TRUE(count.has_value());
   EXPECT_TRUE(count->exact);
   EXPECT_EQ(count->value, 64.0);
@@ -237,7 +241,7 @@ TEST(Cube, StaleBracketOnARangedCellIsSoundWithinTheHorizon) {
   for (const query::AggregateKind agg :
        {query::AggregateKind::kCount, query::AggregateKind::kSum,
         query::AggregateKind::kMin, query::AggregateKind::kMax}) {
-    const auto br = f.cube.stale_bracket(plan, agg, 1);
+    const auto br = f.cube.stale_bracket(plan, agg, kAnyError, 1);
     ASSERT_TRUE(br.has_value()) << agg_name(agg);
     const double exact_now =
         agg == query::AggregateKind::kCount ? static_cast<double>(truth.count)
@@ -250,7 +254,7 @@ TEST(Cube, StaleBracketOnARangedCellIsSoundWithinTheHorizon) {
   // Past the margin horizon the ranged bracket is refused, not fudged.
   EXPECT_FALSE(f.cube
                    .stale_bracket(plan, query::AggregateKind::kSum,
-                                  kHorizon + 1)
+                                  kAnyError, kHorizon + 1)
                    .has_value());
 }
 
@@ -261,14 +265,16 @@ TEST(Cube, StaleBracketRefusesNonCellPlansAndColdCells) {
   tree_plan.steps.push_back(
       {query::StepKind::kTreeCollect, tree_plan.region, {}, 0});
   EXPECT_FALSE(
-      f.cube.stale_bracket(tree_plan, query::AggregateKind::kSum, 0)
+      f.cube
+          .stale_bracket(tree_plan, query::AggregateKind::kSum, kAnyError, 0)
           .has_value());
 
   // A cube-cell plan whose cell was never refreshed has nothing to bracket.
   const query::CostedPlan cold = f.plan_for("SELECT SUM(v) FROM s");
   ASSERT_EQ(cold.steps[0].kind, query::StepKind::kCubeCell);
   EXPECT_FALSE(
-      f.cube.stale_bracket(cold, query::AggregateKind::kSum, 0).has_value());
+      f.cube.stale_bracket(cold, query::AggregateKind::kSum, kAnyError, 0)
+          .has_value());
 }
 
 /// The oracle's view of a ranged COUNT_DISTINCT: only in-range readings.

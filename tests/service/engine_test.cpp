@@ -213,6 +213,32 @@ TEST(QueryService, ACacheFilledByOneShotsKeepsTheAnswersPlannedFromIt) {
             answers[1].error_bound);
 }
 
+TEST(QueryService, SharedGroupsBeyondCapacityStillServeFromTheStore) {
+  // cache_capacity bounds only the cube's root-only entries: two shared
+  // groups with room for one both keep bracketing, so both tolerant
+  // subscribers are served with zero bits on the second epoch.
+  ServiceConfig cfg;
+  cfg.cache_capacity = 1;
+  Fixture f(cfg);
+  f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 100 "
+               "EVERY 1 EPOCHS ERROR 0.9")
+      .value();
+  f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 150 AND 290 "
+               "EVERY 1 EPOCHS ERROR 0.9")
+      .value();
+  f.svc.run_epoch({});
+  const auto msgs_before = f.net.summary().total_messages;
+  const auto answers = f.svc.run_epoch({});
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_TRUE(answers[0].from_cache);
+  EXPECT_TRUE(answers[1].from_cache);
+  EXPECT_LE(std::abs(answers[0].value - f.exact("SUM", 0, 100)),
+            answers[0].error_bound);
+  EXPECT_LE(std::abs(answers[1].value - f.exact("SUM", 150, 290)),
+            answers[1].error_bound);
+  EXPECT_EQ(f.net.summary().total_messages, msgs_before);
+}
+
 TEST(QueryService, CacheServesTolerantContinuousQueries) {
   Fixture f;
   // Whole-domain AVG with a loose tolerance: after the first collection the
@@ -526,6 +552,27 @@ TEST(QueryService, CubeStaleBracketsServeTolerantQueriesWithZeroBits) {
   // Stale serves never touch the air: only the dirty marks cost messages.
   EXPECT_LT(f.net.summary().total_messages - msgs_before, 3u * 36u);
   EXPECT_GT(f.svc.telemetry_snapshot().cube.stale_serves, 0u);
+}
+
+TEST(QueryService, CubeCountsOnlyTheStaleServesItMakes) {
+  // After drift the root cell still has a bracket, but never a zero-width
+  // one: the exact subscriber is served fresh every epoch, and the cube must
+  // not count a stale serve for a bracket the service turned down.
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  cfg.use_cache = false;
+  Fixture f{cfg};
+  f.svc.submit("SELECT SUM(v) FROM s EVERY 1 EPOCHS").value();
+  f.svc.run_epoch({});
+  for (int e = 0; e < 3; ++e) {
+    const std::vector<SensorUpdate> batch{f.drift(5, 2)};
+    const auto answers = f.svc.run_epoch(batch);
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_TRUE(answers[0].exact);
+  }
+  const TelemetrySnapshot snap = f.svc.telemetry_snapshot();
+  EXPECT_EQ(snap.totals.cube_fresh_answers, 4u);
+  EXPECT_EQ(snap.cube.stale_serves, snap.totals.cube_stale_answers);
 }
 
 TEST(QueryService, CubeServesDistinctFromMaintainedSketches) {

@@ -1,8 +1,13 @@
-#include "src/service/result_cache.hpp"
+// The region store's bracketed lookups of held bundles: drift brackets,
+// horizon expiry, the ERROR gate and eviction of root-only entries.
+#include "src/service/region_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+
+#include "src/net/topology.hpp"
 
 namespace sensornet::service {
 namespace {
@@ -10,6 +15,40 @@ namespace {
 constexpr Value kBound = 1000;
 constexpr Value kDelta = 4;
 constexpr std::uint32_t kHorizon = 8;
+/// An ERROR no bracket fails: probe() then returns every bracket.
+constexpr double kAnyError = std::numeric_limits<double>::infinity();
+
+/// A store on a small network, for tests that only hold and bracket bundles
+/// (root-only entries never touch the network).
+class Cache {
+ public:
+  explicit Cache(std::size_t capacity = 1024)
+      : net_(net::make_grid(2, 2), 7),
+        tree_(net::bfs_tree(net_.graph(), 0)),
+        store_(net_, tree_, kBound, kDelta, kHorizon, capacity) {}
+
+  void store(const query::RegionSignature& region, std::uint32_t epoch,
+             const StatsBundle& bundle) {
+    store_.store(region, epoch, bundle);
+  }
+  /// The raw bracket: a probe under an ERROR no bracket fails.
+  std::optional<cube::BracketedAnswer> bracket(
+      const query::RegionSignature& region, query::AggregateKind agg,
+      std::uint32_t now_epoch) const {
+    return store_.probe(region, agg, kAnyError, now_epoch);
+  }
+  std::optional<cube::BracketedAnswer> lookup(
+      const query::RegionSignature& region, query::AggregateKind agg,
+      std::optional<double> epsilon, std::uint32_t now_epoch) const {
+    return store_.lookup(region, agg, epsilon, now_epoch);
+  }
+  std::size_t size() const { return store_.size(); }
+
+ private:
+  sim::Network net_;
+  net::SpanningTree tree_;
+  RegionStore store_;
+};
 
 RangeStats stats_of(std::initializer_list<Value> vs) {
   RangeStats rs;
@@ -55,8 +94,8 @@ TEST(RangeStats, ObserveAndCombine) {
   EXPECT_EQ(empty, b);
 }
 
-TEST(ResultCache, FreshEntryIsExactForWholeDomain) {
-  ResultCache cache(kBound, kDelta, kHorizon);
+TEST(RegionStore, FreshEntryIsExactForWholeDomain) {
+  Cache cache;
   const query::RegionSignature whole{0, kBound, true};
   cache.store(whole, /*epoch=*/5, whole_bundle({10, 20, 30}));
   const auto hit = cache.bracket(whole, query::AggregateKind::kSum, 5);
@@ -66,9 +105,9 @@ TEST(ResultCache, FreshEntryIsExactForWholeDomain) {
   EXPECT_TRUE(hit->exact);
 }
 
-TEST(ResultCache, WholeDomainCountStaysExactForever) {
+TEST(RegionStore, WholeDomainCountStaysExactForever) {
   // Values drift but never leave [0, bound]: membership is static.
-  ResultCache cache(kBound, kDelta, kHorizon);
+  Cache cache;
   const query::RegionSignature whole{0, kBound, true};
   cache.store(whole, 1, whole_bundle({10, 20}));
   const auto hit = cache.bracket(whole, query::AggregateKind::kCount, 1000);
@@ -77,8 +116,8 @@ TEST(ResultCache, WholeDomainCountStaysExactForever) {
   EXPECT_TRUE(hit->exact);
 }
 
-TEST(ResultCache, WholeDomainBoundsGrowWithStaleness) {
-  ResultCache cache(kBound, kDelta, kHorizon);
+TEST(RegionStore, WholeDomainBoundsGrowWithStaleness) {
+  Cache cache;
   const query::RegionSignature whole{0, kBound, true};
   cache.store(whole, 10, whole_bundle({10, 20, 30}));
   for (const std::uint32_t s : {1u, 3u, 7u}) {
@@ -93,12 +132,12 @@ TEST(ResultCache, WholeDomainBoundsGrowWithStaleness) {
   }
 }
 
-TEST(ResultCache, RangedBracketsContainAllReachableDrifts) {
+TEST(RegionStore, RangedBracketsContainAllReachableDrifts) {
   // Exhaustive soundness check: every per-epoch drift pattern of three
   // sensors (each step in {-kDelta..kDelta}) for s epochs must keep the
   // true aggregate inside the cached bracket.
   const query::RegionSignature region{40, 60, false};
-  ResultCache cache(kBound, kDelta, kHorizon);
+  Cache cache;
   const std::initializer_list<Value> start = {38, 50, 61};
   cache.store(region, 0, ranged_bundle(start, region.lo, region.hi));
   const std::uint32_t s = 3;
@@ -139,9 +178,9 @@ TEST(ResultCache, RangedBracketsContainAllReachableDrifts) {
   }
 }
 
-TEST(ResultCache, RangedEntriesExpirePastHorizon) {
+TEST(RegionStore, RangedEntriesExpirePastHorizon) {
   const query::RegionSignature region{40, 60, false};
-  ResultCache cache(kBound, kDelta, kHorizon);
+  Cache cache;
   cache.store(region, 10, ranged_bundle({50}, 40, 60));
   EXPECT_TRUE(
       cache.bracket(region, query::AggregateKind::kCount, 10 + kHorizon).has_value());
@@ -149,8 +188,8 @@ TEST(ResultCache, RangedEntriesExpirePastHorizon) {
                    .has_value());
 }
 
-TEST(ResultCache, LookupGatesOnEpsilon) {
-  ResultCache cache(kBound, kDelta, kHorizon);
+TEST(RegionStore, LookupGatesOnEpsilon) {
+  Cache cache;
   const query::RegionSignature whole{0, kBound, true};
   cache.store(whole, 0, whole_bundle({100, 200, 300}));
   // Staleness 2: AVG bound = 8 on a value of 200 -> relative error 4%.
@@ -167,8 +206,8 @@ TEST(ResultCache, LookupGatesOnEpsilon) {
       cache.lookup(whole, query::AggregateKind::kCount, std::nullopt, 2).has_value());
 }
 
-TEST(ResultCache, NeverServesUnbracketableAggregates) {
-  ResultCache cache(kBound, kDelta, kHorizon);
+TEST(RegionStore, NeverServesUnbracketableAggregates) {
+  Cache cache;
   const query::RegionSignature whole{0, kBound, true};
   cache.store(whole, 0, whole_bundle({1, 2, 3}));
   EXPECT_FALSE(cache.bracket(whole, query::AggregateKind::kMedian, 0).has_value());
@@ -176,8 +215,8 @@ TEST(ResultCache, NeverServesUnbracketableAggregates) {
       cache.bracket(whole, query::AggregateKind::kCountDistinct, 0).has_value());
 }
 
-TEST(ResultCache, EmptySelectionsRefuseValueAggregates) {
-  ResultCache cache(kBound, kDelta, kHorizon);
+TEST(RegionStore, EmptySelectionsRefuseValueAggregates) {
+  Cache cache;
   const query::RegionSignature region{40, 60, false};
   cache.store(region, 0, ranged_bundle({5, 200}, 40, 60));
   const auto count = cache.bracket(region, query::AggregateKind::kCount, 0);
@@ -187,8 +226,8 @@ TEST(ResultCache, EmptySelectionsRefuseValueAggregates) {
   EXPECT_FALSE(cache.bracket(region, query::AggregateKind::kAvg, 0).has_value());
 }
 
-TEST(ResultCache, EvictsStalestBeyondCapacity) {
-  ResultCache cache(kBound, kDelta, kHorizon, /*capacity=*/2);
+TEST(RegionStore, EvictsStalestBeyondCapacity) {
+  Cache cache(/*capacity=*/2);
   const query::RegionSignature r1{1, 10, false};
   const query::RegionSignature r2{2, 20, false};
   const query::RegionSignature r3{3, 30, false};

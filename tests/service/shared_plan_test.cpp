@@ -1,8 +1,11 @@
-#include "src/service/shared_plan.hpp"
+// The region store's shared groups: pinned entries refreshed by incremental
+// waves, distinct memos, and pinned entries' exemption from eviction.
+#include "src/service/region_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "src/net/topology.hpp"
 
@@ -12,6 +15,8 @@ namespace {
 constexpr Value kBound = 1000;
 constexpr Value kDelta = 4;
 constexpr std::uint32_t kHorizon = 8;
+/// An ERROR no bracket fails: probe() then returns every bracket.
+constexpr double kAnyError = std::numeric_limits<double>::infinity();
 
 /// What a collection must return: the bundle computed directly from the
 /// installed items, no network involved.
@@ -42,12 +47,12 @@ StatsBundle direct_bundle(const sim::Network& net,
 struct Fixture {
   sim::Network net;
   net::SpanningTree tree;
-  SharedPlanScheduler sched;
+  RegionStore store;
 
   explicit Fixture(std::uint64_t seed = 7)
       : net(net::make_grid(8, 8), seed),
         tree(net::bfs_tree(net.graph(), 0)),
-        sched(net, tree, kBound, kDelta, kHorizon) {
+        store(net, tree, kBound, kDelta, kHorizon) {
     ValueSet vs(64);
     for (NodeId u = 0; u < 64; ++u) {
       vs[u] = static_cast<Value>((u * 37) % 200);
@@ -56,61 +61,61 @@ struct Fixture {
   }
 };
 
-TEST(SharedPlan, GroupsDeduplicateByRegion) {
+TEST(RegionStore, GroupsDeduplicateByRegion) {
   Fixture f;
   const query::RegionSignature a{10, 50, false};
   const query::RegionSignature b{10, 60, false};
-  EXPECT_EQ(f.sched.ensure_stats_group(a), f.sched.ensure_stats_group(a));
-  EXPECT_NE(f.sched.ensure_stats_group(a), f.sched.ensure_stats_group(b));
+  EXPECT_EQ(f.store.pin_stats(a), f.store.pin_stats(a));
+  EXPECT_NE(f.store.pin_stats(a), f.store.pin_stats(b));
   // Distinct groups key on (region, registers): exact and approximate
   // subscribers cannot share a wave.
-  EXPECT_EQ(f.sched.ensure_distinct_group(a, 64),
-            f.sched.ensure_distinct_group(a, 64));
-  EXPECT_NE(f.sched.ensure_distinct_group(a, 64),
-            f.sched.ensure_distinct_group(a, 0));
-  EXPECT_EQ(f.sched.stats().groups_created, 4u);
+  EXPECT_EQ(f.store.pin_distinct(a, 64),
+            f.store.pin_distinct(a, 64));
+  EXPECT_NE(f.store.pin_distinct(a, 64),
+            f.store.pin_distinct(a, 0));
+  EXPECT_EQ(f.store.stats().groups_created, 4u);
 }
 
-TEST(SharedPlan, CollectionMatchesDirectComputation) {
+TEST(RegionStore, CollectionMatchesDirectComputation) {
   Fixture f;
   for (const query::RegionSignature region :
        {query::RegionSignature{0, kBound, true},
         query::RegionSignature{30, 120, false}}) {
-    const GroupId g = f.sched.ensure_stats_group(region);
-    EXPECT_EQ(f.sched.collect_stats(g, 0), direct_bundle(f.net, region));
+    const GroupId g = f.store.pin_stats(region);
+    EXPECT_EQ(f.store.collect_stats(g, 0), direct_bundle(f.net, region));
   }
 }
 
-TEST(SharedPlan, CollectIsIdempotentWithinEpoch) {
+TEST(RegionStore, CollectIsIdempotentWithinEpoch) {
   Fixture f;
   const GroupId g =
-      f.sched.ensure_stats_group(query::RegionSignature{0, kBound, true});
-  f.sched.collect_stats(g, 0);
+      f.store.pin_stats(query::RegionSignature{0, kBound, true});
+  f.store.collect_stats(g, 0);
   const auto msgs = f.net.summary().total_messages;
-  f.sched.collect_stats(g, 0);
+  f.store.collect_stats(g, 0);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
-  EXPECT_EQ(f.sched.stats().stats_waves, 1u);
+  EXPECT_EQ(f.store.stats().stats_waves, 1u);
 }
 
-TEST(SharedPlan, QuiescentRecollectionIsFree) {
+TEST(RegionStore, QuiescentRecollectionIsFree) {
   Fixture f;
   const GroupId g =
-      f.sched.ensure_stats_group(query::RegionSignature{0, kBound, true});
-  const StatsBundle first = f.sched.collect_stats(g, 0);
+      f.store.pin_stats(query::RegionSignature{0, kBound, true});
+  const StatsBundle first = f.store.collect_stats(g, 0);
   // Nothing changed: the next epoch's collection is answered entirely from
   // the parent-side partials — zero messages on the air.
   const auto msgs = f.net.summary().total_messages;
-  const StatsBundle second = f.sched.collect_stats(g, 1);
+  const StatsBundle second = f.store.collect_stats(g, 1);
   EXPECT_EQ(second, first);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
 }
 
-TEST(SharedPlan, IncrementalCollectionDescendsOnlyDirtySubtrees) {
+TEST(RegionStore, IncrementalCollectionDescendsOnlyDirtySubtrees) {
   Fixture f;
   const query::RegionSignature whole{0, kBound, true};
-  const GroupId g = f.sched.ensure_stats_group(whole);
-  f.sched.collect_stats(g, 0);
-  const auto full_descents = f.sched.stats().edges_descended;
+  const GroupId g = f.store.pin_stats(whole);
+  f.store.collect_stats(g, 0);
+  const auto full_descents = f.store.stats().edges_descended;
   EXPECT_EQ(full_descents, 63u);  // first collection visits every edge
 
   // One sensor changes; only its root path (plus those nodes' request
@@ -118,41 +123,41 @@ TEST(SharedPlan, IncrementalCollectionDescendsOnlyDirtySubtrees) {
   const NodeId changed = 63;
   f.net.update_item(changed, 0, f.net.items(changed)[0] + kDelta);
   const std::vector<NodeId> touched{changed};
-  f.sched.note_updates(touched, 1);
-  const StatsBundle b = f.sched.collect_stats(g, 1);
+  f.store.note_updates(touched, 1);
+  const StatsBundle b = f.store.collect_stats(g, 1);
   EXPECT_EQ(b, direct_bundle(f.net, whole));
   // Exactly the changed node's root path is re-requested: one edge per
   // level, every other subtree served from the parent-side partials.
-  const auto incremental = f.sched.stats().edges_descended - full_descents;
+  const auto incremental = f.store.stats().edges_descended - full_descents;
   EXPECT_EQ(incremental, f.tree.depth[changed]);
-  EXPECT_GT(f.sched.stats().edges_skipped, 0u);
+  EXPECT_GT(f.store.stats().edges_skipped, 0u);
 }
 
-TEST(SharedPlan, MarksCoalescePerNodePerEpoch) {
+TEST(RegionStore, MarksCoalescePerNodePerEpoch) {
   Fixture f;
   // Two sibling leaves under the same deep ancestor: their marks share the
   // common path, so total mark messages < sum of both depths.
   const std::vector<NodeId> touched{62, 63};
-  f.sched.note_updates(touched, 1);
+  f.store.note_updates(touched, 1);
   const std::uint64_t depth_sum = f.tree.depth[62] + f.tree.depth[63];
-  EXPECT_LT(f.sched.stats().mark_messages, depth_sum);
-  EXPECT_GE(f.sched.stats().mark_messages, f.tree.depth[63]);
+  EXPECT_LT(f.store.stats().mark_messages, depth_sum);
+  EXPECT_GE(f.store.stats().mark_messages, f.tree.depth[63]);
 }
 
-TEST(SharedPlan, RangedGroupPaysInstallBroadcastOnce) {
+TEST(RegionStore, RangedGroupPaysInstallBroadcastOnce) {
   Fixture f;
   const auto before = f.net.summary().total_messages;
-  f.sched.ensure_stats_group(query::RegionSignature{30, 120, false});
+  f.store.pin_stats(query::RegionSignature{30, 120, false});
   const auto after_first = f.net.summary().total_messages;
   EXPECT_EQ(after_first - before, 63u);  // one region install per node
-  f.sched.ensure_stats_group(query::RegionSignature{30, 120, false});
+  f.store.pin_stats(query::RegionSignature{30, 120, false});
   EXPECT_EQ(f.net.summary().total_messages, after_first);
 }
 
-TEST(SharedPlan, DistinctCollectionsAnswerOverTheRegion) {
+TEST(RegionStore, DistinctCollectionsAnswerOverTheRegion) {
   Fixture f;
   const query::RegionSignature region{0, 99, false};
-  const GroupId g = f.sched.ensure_distinct_group(region, /*registers=*/0);
+  const GroupId g = f.store.pin_distinct(region, /*registers=*/0);
   std::uint64_t expected = 0;
   {
     std::vector<Value> seen;
@@ -166,13 +171,50 @@ TEST(SharedPlan, DistinctCollectionsAnswerOverTheRegion) {
     }
     expected = seen.size();
   }
-  EXPECT_DOUBLE_EQ(f.sched.collect_distinct(g, 0),
+  EXPECT_DOUBLE_EQ(f.store.collect_distinct(g, 0),
                    static_cast<double>(expected));
   // Idempotent within the epoch.
   const auto msgs = f.net.summary().total_messages;
-  f.sched.collect_distinct(g, 0);
+  f.store.collect_distinct(g, 0);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
-  EXPECT_EQ(f.sched.stats().distinct_waves, 1u);
+  EXPECT_EQ(f.store.stats().distinct_waves, 1u);
+}
+
+/// Bundle for a ranged region [lo, hi] with margin M over explicit values.
+StatsBundle ranged_bundle(std::initializer_list<Value> vs, Value lo, Value hi,
+                          Value margin = kHorizon * kDelta) {
+  StatsBundle b;
+  for (const Value v : vs) {
+    if (v >= lo && v <= hi) b.core.observe(v);
+    if (v >= lo + margin && v <= hi - margin) b.inner.observe(v);
+    if (v >= lo - margin && v <= hi + margin) b.outer.observe(v);
+  }
+  return b;
+}
+
+TEST(RegionStore, PinnedRegionsOutliveRootOnlyChurn) {
+  // Only root-only entries count against the capacity: a shared group's
+  // entry keeps bracketing however many cube bundles come and go.
+  Fixture f;
+  RegionStore small(f.net, f.tree, kBound, kDelta, kHorizon, /*capacity=*/1);
+  const query::RegionSignature pinned{30, 120, false};
+  small.collect_stats(small.pin_stats(pinned), 1);
+  const query::RegionSignature r1{1, 10, false};
+  const query::RegionSignature r2{2, 20, false};
+  const query::RegionSignature r3{3, 30, false};
+  small.store(r1, 1, ranged_bundle({5}, 1, 10));
+  small.store(r2, 2, ranged_bundle({5}, 2, 20));
+  small.store(r3, 3, ranged_bundle({5}, 3, 30));
+  const auto count = [&](const query::RegionSignature& region) {
+    return small.probe(region, query::AggregateKind::kCount, kAnyError, 3);
+  };
+  EXPECT_EQ(small.size(), 2u);
+  EXPECT_FALSE(count(r1).has_value());
+  EXPECT_FALSE(count(r2).has_value());
+  EXPECT_TRUE(count(r3).has_value());
+  ASSERT_TRUE(count(pinned).has_value());
+  const RangeStats truth = direct_bundle(f.net, pinned).core;
+  EXPECT_DOUBLE_EQ(count(pinned)->value, static_cast<double>(truth.count));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Pins the bits on air of the incremental convergecasts: the shared-plan
-// scheduler's stats collections and the cube's cell refreshes and residue
+// Pins the bits on air of the incremental convergecasts: the region store's
+// shared stats collections and the cube's cell refreshes and residue
 // collections. Every figure is an integer total from net.summary(); HLL
 // estimates are never compared, so the pins do not depend on libm.
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include "src/net/topology.hpp"
 #include "src/query/parser.hpp"
 #include "src/query/planner.hpp"
-#include "src/service/shared_plan.hpp"
+#include "src/service/region_store.hpp"
 
 namespace sensornet::service {
 namespace {
@@ -66,18 +66,18 @@ query::CostedPlan plan_for(const cube::Cube& c, const std::string& text) {
 
 TEST(WaveBits, SharedStatsCollectionFirstAndIncremental) {
   Grid f;
-  SharedPlanScheduler sched(f.net, f.tree, kBound, kDelta, kHorizon);
+  RegionStore store(f.net, f.tree, kBound, kDelta, kHorizon);
 
-  const GroupId g = sched.ensure_stats_group({20, 150, false});
-  sched.collect_stats(g, 1);
+  const GroupId g = store.pin_stats({20, 150, false});
+  store.collect_stats(g, 1);
   EXPECT_EQ(totals(f.net), (Totals{8482, 189}));
 
   const std::vector<NodeId> touched{63, 40, 9};
   for (const NodeId u : touched) {
     f.net.update_item(u, 0, f.net.items(u)[0] + 3);
   }
-  sched.note_updates(touched, 2);
-  sched.collect_stats(g, 2);
+  store.note_updates(touched, 2);
+  store.collect_stats(g, 2);
   EXPECT_EQ(totals(f.net), (Totals{10756, 249}));
 }
 
