@@ -5,7 +5,6 @@
 
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/proto/tree_broadcast.hpp"
 #include "src/sim/message.hpp"
@@ -17,21 +16,6 @@ namespace {
 constexpr std::uint32_t kRefreshSessionBase = 0x7800;
 constexpr std::uint32_t kResidueSessionBase = 0x7C00;
 constexpr std::uint32_t kGeometrySession = 0x7BFF;
-
-void mirror_cube_stats(const CubeStats& s) {
-  obs::Registry& reg = obs::Registry::global();
-  reg.gauge_set(reg.gauge("cube.refresh_waves"), s.refresh_waves);
-  reg.gauge_set(reg.gauge("cube.cell_edges_descended"), s.cell_edges_descended);
-  reg.gauge_set(reg.gauge("cube.cell_edges_skipped"), s.cell_edges_skipped);
-  reg.gauge_set(reg.gauge("cube.residue_waves"), s.residue_waves);
-  reg.gauge_set(reg.gauge("cube.residue_edges_descended"),
-                s.residue_edges_descended);
-  reg.gauge_set(reg.gauge("cube.residue_edges_pruned"),
-                s.residue_edges_pruned);
-  reg.gauge_set(reg.gauge("cube.fresh_serves"), s.fresh_serves);
-  reg.gauge_set(reg.gauge("cube.stale_serves"), s.stale_serves);
-  reg.gauge_set(reg.gauge("cube.geometry_installs"), s.geometry_installs);
-}
 
 }  // namespace
 
@@ -52,35 +36,36 @@ const MaintainedRegion& Cube::cell(query::CubeCellRef ref) const {
 // ---- construction ---------------------------------------------------------
 
 Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
-           Value max_value_bound, const DirtyTracker& dirty, CubeConfig config)
+           const DriftModel& drift, const DirtyTracker& dirty,
+           CubeConfig config)
     : net_(net),
       tree_(tree),
-      max_value_bound_(max_value_bound),
+      drift_(drift),
       dirty_(dirty),
       config_(config),
       hll_width_(0),
       next_residue_session_(kResidueSessionBase) {
   SENSORNET_EXPECTS(net.node_count() == tree.node_count());
-  SENSORNET_EXPECTS(max_value_bound >= 0);
+  SENSORNET_EXPECTS(drift_.domain_bound >= 0);
   SENSORNET_EXPECTS(config_.levels >= 1 && config_.levels <= 16);
   // The finest level must not out-resolve the domain, or cells go empty.
   SENSORNET_EXPECTS((std::uint64_t{1} << (config_.levels - 1)) <=
-                    static_cast<std::uint64_t>(max_value_bound) + 1);
-  SENSORNET_EXPECTS(config_.max_delta >= 0);
-  SENSORNET_EXPECTS(config_.horizon_epochs >= 1);
+                    static_cast<std::uint64_t>(drift_.domain_bound) + 1);
+  SENSORNET_EXPECTS(drift_.max_delta >= 0);
+  SENSORNET_EXPECTS(drift_.horizon_epochs >= 1);
   if (config_.distinct_registers > 0) {
     hll_width_ = static_cast<std::uint8_t>(sketch::packed_width_for(
         static_cast<std::uint64_t>(net.node_count()) + 1));
     (void)spec_for({}).empty_hll();  // validates the geometry up front
   }
-  const auto domain = static_cast<std::uint64_t>(max_value_bound) + 1;
+  const auto domain = static_cast<std::uint64_t>(drift_.domain_bound) + 1;
   for (unsigned level = 0; level < config_.levels; ++level) {
     for (unsigned index = 0; index < (1u << level); ++index) {
       MaintainedRegion& c = cells_.emplace_back();
       c.region.lo = static_cast<Value>(index * domain >> level);
       c.region.hi = static_cast<Value>(((index + 1ull) * domain >> level) - 1);
       c.region.whole_domain =
-          c.region.lo == 0 && c.region.hi == max_value_bound;
+          c.region.lo == 0 && c.region.hi == drift_.domain_bound;
     }
   }
   residue_edges_memo_.assign(cells_.size() + 1, kUnknown);
@@ -97,13 +82,10 @@ query::RegionSignature Cube::cell_region(query::CubeCellRef ref) const {
 }
 
 std::optional<Cube::EdgePartial> Cube::cached_partial(query::CubeCellRef ref,
-                                                      NodeId node,
-                                                      std::size_t ci) const {
+                                                      NodeId child) const {
   const MaintainedRegion& c = cell(ref);
   if (c.edges.empty()) return std::nullopt;
-  SENSORNET_EXPECTS(node < tree_.node_count() &&
-                    ci < tree_.children[node].size());
-  const NodeId child = tree_.children[node][ci];
+  SENSORNET_EXPECTS(child < tree_.node_count() && child != tree_.root);
   return EdgePartial{c.edges.bundle[child], c.edges.epoch[child]};
 }
 
@@ -112,8 +94,8 @@ std::optional<Cube::EdgePartial> Cube::cached_partial(query::CubeCellRef ref,
 BundleSpec Cube::spec_for(const query::RegionSignature& region) const {
   BundleSpec spec;
   spec.region = region;
-  spec.margin = static_cast<Value>(config_.horizon_epochs) * config_.max_delta;
-  spec.domain_bound = max_value_bound_;
+  spec.margin = drift_.margin();
+  spec.domain_bound = drift_.domain_bound;
   spec.hll_registers = config_.distinct_registers;
   spec.hll_width = hll_width_;
   return spec;
@@ -143,17 +125,15 @@ std::size_t Cube::deepest_containing_cell(
   return o;
 }
 
-bool Cube::subtree_provably_empty(NodeId node, std::size_t ci,
-                                  std::size_t deepest) const {
+bool Cube::subtree_provably_empty(NodeId child, std::size_t deepest) const {
   if (deepest == kNoCell) return false;
-  const NodeId child = tree_.children[node][ci];
   for (std::size_t o = deepest;; o = (o - 1) / 2) {
     const EdgeStore& edges = cells_[o].edges;
     // The partial's outer region contains the residue's outer region (same
     // margin, containing core). edge_fresh certifies the subtree's items are
     // *identical* to when the partial was taken, so an empty outer then is
     // an empty outer now — the subtree contributes nothing, exactly.
-    if (!edges.empty() && dirty_.edge_fresh(node, ci, edges.epoch[child]) &&
+    if (!edges.empty() && dirty_.edge_fresh(child, edges.epoch[child]) &&
         edges.bundle[child].outer.count == 0) {
       return true;
     }
@@ -180,7 +160,6 @@ void Cube::refresh_cell(query::CubeCellRef ref, std::uint32_t epoch) {
     ring.complete("cube.refresh", "service", t0, net_.now() - t0, 0, "epoch",
                   epoch, "lo", c.region.lo);
   }
-  mirror_stats();
 }
 
 // ---- residue collection ---------------------------------------------------
@@ -190,8 +169,8 @@ struct Cube::ResidueEdges {
   const Cube& cube;
   std::size_t deepest;  // the pruning oracle's containing-cell chain
 
-  proto::EdgeAction edge(NodeId node, std::size_t ci, BundlePartial&) {
-    if (cube.subtree_provably_empty(node, ci, deepest)) {
+  proto::EdgeAction edge(NodeId, NodeId child, BundlePartial&) {
+    if (cube.subtree_provably_empty(child, deepest)) {
       ++cube.stats_.residue_edges_pruned;
       return proto::EdgeAction::kPrune;
     }
@@ -218,7 +197,6 @@ BundlePartial Cube::collect_range(const query::RegionSignature& region,
     ring.complete("cube.residue", "service", t0, net_.now() - t0, 0, "lo",
                   region.lo, "hi", region.hi);
   }
-  mirror_stats();
   return p;
 }
 
@@ -234,8 +212,7 @@ void Cube::ensure_geometry_installed() {
       [](sim::Network&, NodeId, BitReader) { /* geometry noted */ });
   BitWriter w;
   encode_uint(w, config_.levels);
-  encode_uint(w, static_cast<std::uint64_t>(config_.horizon_epochs) *
-                     static_cast<std::uint64_t>(config_.max_delta));
+  encode_uint(w, static_cast<std::uint64_t>(drift_.margin()));
   encode_uint(w, config_.distinct_registers);
   if (config_.distinct_registers > 0) {
     encode_uint(w, hll_width_);
@@ -243,7 +220,6 @@ void Cube::ensure_geometry_installed() {
   }
   install.execute(net_, std::move(w));
   ++stats_.geometry_installs;
-  mirror_stats();
 }
 
 // ---- serving --------------------------------------------------------------
@@ -277,21 +253,18 @@ ServeResult Cube::serve(const query::CostedPlan& plan, std::uint32_t epoch) {
     out.distinct_estimate = merged->estimate();
   }
   ++stats_.fresh_serves;
-  mirror_stats();
   return out;
 }
 
 std::optional<BracketedAnswer> Cube::stale_bracket(
     const query::CostedPlan& plan, query::AggregateKind agg,
     std::optional<double> epsilon, std::uint32_t now_epoch) const {
-  const DriftModel model{max_value_bound_, config_.max_delta,
-                         config_.horizon_epochs};
   BundleBracket br;
   RangeStats core;  // the answer's point value: the frozen composition
   for (const query::PlanStep& step : plan.steps) {
     if (step.kind != query::StepKind::kCubeCell) return std::nullopt;
     const MaintainedRegion& c = cell(step.cell);
-    const std::optional<BundleBracket> cb = drift_bracket(c, now_epoch, model);
+    const std::optional<BundleBracket> cb = drift_bracket(c, now_epoch, drift_);
     if (!cb) return std::nullopt;
     compose_bracket(br, *cb);
     core.combine(c.root.bundle.core);
@@ -299,7 +272,6 @@ std::optional<BracketedAnswer> Cube::stale_bracket(
   const std::optional<BracketedAnswer> out = bracketed_answer(agg, core, br);
   if (!out || error_slack(*out, epsilon) < 0.0) return std::nullopt;
   ++stats_.stale_serves;
-  mirror_stats();
   return out;
 }
 
@@ -327,11 +299,10 @@ std::uint64_t Cube::count_descended_edges(Skip skip) const {
   while (!stack.empty()) {
     const NodeId node = stack.back();
     stack.pop_back();
-    const auto& kids = tree_.children[node];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      if (skip(node, ci)) continue;
+    for (const NodeId child : tree_.children[node]) {
+      if (skip(child)) continue;
       ++edges;
-      stack.push_back(kids[ci]);
+      stack.push_back(child);
     }
   }
   return edges;
@@ -369,10 +340,9 @@ std::uint64_t Cube::cell_refresh_bits(query::CubeCellRef ref) const {
   const MaintainedRegion& c = cell(ref);
   const std::uint64_t edges =
       memoised(stale_edges_memo_, cell_ordinal(ref), [&] {
-        return count_descended_edges([&](NodeId node, std::size_t ci) {
+        return count_descended_edges([&](NodeId child) {
           return !c.edges.empty() &&
-                 dirty_.edge_fresh(node, ci,
-                                   c.edges.epoch[tree_.children[node][ci]]);
+                 dirty_.edge_fresh(child, c.edges.epoch[child]);
         });
       });
   return edges *
@@ -384,8 +354,8 @@ std::uint64_t Cube::residue_collect_bits(
   const std::size_t deepest = deepest_containing_cell(region);
   const std::size_t slot = deepest == kNoCell ? cells_.size() : deepest;
   const std::uint64_t edges = memoised(residue_edges_memo_, slot, [&] {
-    return count_descended_edges([&](NodeId node, std::size_t ci) {
-      return subtree_provably_empty(node, ci, deepest);
+    return count_descended_edges([&](NodeId child) {
+      return subtree_provably_empty(child, deepest);
     });
   });
   return edges *
@@ -398,7 +368,5 @@ std::uint64_t Cube::tree_collect_bits(
   return static_cast<std::uint64_t>(tree_.node_count() - 1) *
          edge_cost_bits(region.whole_domain, /*carries_region=*/true);
 }
-
-void Cube::mirror_stats() const { mirror_cube_stats(stats_); }
 
 }  // namespace sensornet::cube

@@ -66,19 +66,13 @@ namespace sensornet::cube {
 
 struct CubeConfig {
   /// Resolution levels; the finest level has 2^(levels-1) cells and must
-  /// not out-resolve the domain ((1 << (levels-1)) <= max_value_bound + 1).
+  /// not out-resolve the domain ((1 << (levels-1)) <= domain_bound + 1).
   unsigned levels = 4;
   /// HLL registers of the COUNT_DISTINCT partials; 0 = stats only.
   unsigned distinct_registers = 0;
-  /// Drift model: a reading moves by at most this much per epoch.
-  Value max_delta = 4;
-  /// Margin horizon baked into cell bundles (M = horizon * max_delta);
-  /// ranged cells bracket up to this staleness, and the planner amortizes
-  /// refresh costs over it.
-  std::uint32_t horizon_epochs = 8;
 };
 
-/// Cumulative cube telemetry, mirrored into obs gauges after every wave.
+/// Cumulative cube telemetry.
 struct CubeStats {
   std::uint64_t refresh_waves = 0;       // cell refreshes that ran
   std::uint64_t cell_edges_descended = 0;
@@ -103,11 +97,14 @@ struct ServeResult {
 
 class Cube final : public query::CubeCatalog {
  public:
+  /// The domain is [0, drift.domain_bound]; cell bundles carry margins of
+  /// drift.margin(), so ranged cells bracket up to drift.horizon_epochs of
+  /// staleness, and the planner amortizes refresh costs over that horizon.
   /// `dirty` is the shared freshness oracle (in the service, the region
   /// store's); it must outlive the cube, and its note_updates() must run
   /// each epoch before serves of that epoch.
-  Cube(sim::Network& net, const net::SpanningTree& tree, Value max_value_bound,
-       const DirtyTracker& dirty, CubeConfig config);
+  Cube(sim::Network& net, const net::SpanningTree& tree,
+       const DriftModel& drift, const DirtyTracker& dirty, CubeConfig config);
   ~Cube() override;
 
   Cube(const Cube&) = delete;
@@ -115,7 +112,7 @@ class Cube final : public query::CubeCatalog {
 
   // ---- query::CubeCatalog (the planner's window) -------------------------
   unsigned levels() const override { return config_.levels; }
-  Value domain_bound() const override { return max_value_bound_; }
+  Value domain_bound() const override { return drift_.domain_bound; }
   query::RegionSignature cell_region(query::CubeCellRef ref) const override;
   unsigned distinct_registers() const override {
     return config_.distinct_registers;
@@ -126,7 +123,7 @@ class Cube final : public query::CubeCatalog {
   std::uint64_t tree_collect_bits(
       const query::RegionSignature& region) const override;
   std::uint32_t refresh_amortization() const override {
-    return config_.horizon_epochs;
+    return drift_.horizon_epochs;
   }
 
   // ---- serving -----------------------------------------------------------
@@ -155,16 +152,16 @@ class Cube final : public query::CubeCatalog {
     return ((std::size_t{1} << ref.level) - 1) + ref.index;
   }
 
-  /// A parent-side partial cached by a cell refresh: the subtree bundle
-  /// below edge (node, child ci) and the epoch it was taken at.
+  /// A parent-side partial cached by a cell refresh: the bundle of the
+  /// subtree below a tree edge and the epoch it was taken at.
   struct EdgePartial {
     StatsBundle bundle;
     std::uint32_t epoch = DirtyTracker::kInvalidEpoch;
   };
-  /// What cell `ref` caches for edge (node, child ci); nullopt before the
+  /// What cell `ref` caches for `child`'s parent edge; nullopt before the
   /// cell's first refresh.
   std::optional<EdgePartial> cached_partial(query::CubeCellRef ref,
-                                            NodeId node, std::size_t ci) const;
+                                            NodeId child) const;
 
  private:
   struct ResidueEdges;
@@ -180,24 +177,23 @@ class Cube final : public query::CubeCatalog {
       const query::RegionSignature& region) const;
   /// True when the cached partials of some cell containing the region —
   /// the chain from `deepest` (a deepest_containing_cell result) up to the
-  /// root — prove the subtree below (node, child ci) holds nothing relevant
-  /// to the region. Exact, because the dirty tracker certifies the subtree
-  /// is unchanged since the proof.
-  bool subtree_provably_empty(NodeId node, std::size_t ci,
-                              std::size_t deepest) const;
+  /// root — prove the subtree below `child` holds nothing relevant to the
+  /// region. Exact, because the dirty tracker certifies the subtree is
+  /// unchanged since the proof.
+  bool subtree_provably_empty(NodeId child, std::size_t deepest) const;
   void ensure_geometry_installed();
   /// Incremental refresh of one cell to `epoch`; no-op when already there.
   void refresh_cell(query::CubeCellRef ref, std::uint32_t epoch);
   /// One-shot pruned collection, with the HLL partial when `want_hll`.
   BundlePartial collect_range(const query::RegionSignature& region,
                               bool want_hll);
-  void mirror_stats() const;
 
   /// Estimated wire bits of one descend-and-respond edge for a region
   /// (request + response, headers included).
   std::uint64_t edge_cost_bits(bool whole_domain, bool carries_region) const;
-  /// Edges a top-down wave descends when it skips every edge `skip`
-  /// accepts (and so everything below it). Iterative: trees may be deep.
+  /// Edges a top-down wave descends when it skips every edge whose child
+  /// `skip` accepts (and so everything below it). Iterative: trees may be
+  /// deep.
   template <typename Skip>
   std::uint64_t count_descended_edges(Skip skip) const;
   /// memo[slot], filled by `count()` when unknown. Drops every memoised
@@ -210,7 +206,7 @@ class Cube final : public query::CubeCatalog {
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
-  Value max_value_bound_;
+  DriftModel drift_;
   const DirtyTracker& dirty_;
   CubeConfig config_;
   std::uint8_t hll_width_;  // packed rank width: the oracle's geometry

@@ -9,6 +9,11 @@
 // oracle that lets any incremental collection (shared stats groups, cube
 // cell refreshes) skip subtrees that have not changed since their cached
 // partial was taken.
+//
+// The tracker keeps one parent-side record per tree edge: the epoch of the
+// last mark the parent heard over it. Like every per-edge record in the
+// service (cube::EdgeStore), it is keyed by the edge's child, which names
+// the edge on its own — every non-root node has exactly one parent edge.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +26,6 @@
 #include "src/sim/network.hpp"
 
 namespace sensornet::cube {
-
-/// Index of `child` within the node's sorted children list.
-std::size_t child_index(const net::SpanningTree& tree, NodeId node,
-                        NodeId child);
 
 class DirtyTracker {
  public:
@@ -45,20 +46,17 @@ class DirtyTracker {
   /// the same epoch.
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch);
 
-  /// Epoch of the last change heard from the node's ci-th child edge.
-  std::uint32_t child_changed_epoch(NodeId node, std::size_t ci) const {
-    return child_changed_epoch_[node][ci];
+  /// Epoch of the last mark `child`'s parent heard over their edge: the
+  /// last change at or below `child`. kNever for the root.
+  std::uint32_t edge_changed_epoch(NodeId child) const {
+    return edge_changed_epoch_[child];
   }
 
-  /// Epoch of the last change at or below the node.
-  std::uint32_t subtree_changed_epoch(NodeId node) const {
-    return subtree_changed_epoch_[node];
-  }
-
-  /// True when nothing at or below the edge changed after `have` (the epoch
-  /// a cached partial was taken at) — the partial is still exact.
-  bool edge_fresh(NodeId node, std::size_t ci, std::uint32_t have) const {
-    return have != kInvalidEpoch && child_changed_epoch_[node][ci] <= have;
+  /// True when nothing at or below `child` changed after `have` (the epoch
+  /// a cached partial of the edge was taken at) — the partial is still
+  /// exact.
+  bool edge_fresh(NodeId child, std::uint32_t have) const {
+    return have != kInvalidEpoch && edge_changed_epoch_[child] <= have;
   }
 
   std::uint64_t mark_messages() const { return mark_messages_; }
@@ -72,10 +70,8 @@ class DirtyTracker {
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
-  std::vector<std::uint32_t> subtree_changed_epoch_;
-  /// Parallel to tree_.children[n]: epoch of the last change heard from
-  /// each child edge.
-  std::vector<std::vector<std::uint32_t>> child_changed_epoch_;
+  /// By child: epoch of the last mark heard over the child's parent edge.
+  std::vector<std::uint32_t> edge_changed_epoch_;
   std::uint64_t mark_messages_ = 0;
   std::uint64_t batches_noted_ = 0;
 };

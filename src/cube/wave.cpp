@@ -139,10 +139,9 @@ std::optional<BundleBracket> drift_bracket(const MaintainedRegion& m,
 
 // ---- incremental refresh --------------------------------------------------
 
-proto::EdgeAction IncrementalEdges::edge(NodeId node, std::size_t ci,
+proto::EdgeAction IncrementalEdges::edge(NodeId node, NodeId child,
                                          BundlePartial& acc) {
-  const NodeId child = tree.children[node][ci];
-  const bool fresh = dirty.edge_fresh(node, ci, store.epoch[child]);
+  const bool fresh = dirty.edge_fresh(child, store.epoch[child]);
   if (fresh) {
     acc.bundle.combine(store.bundle[child]);
     if (acc.hll) acc.hll->merge(*store.hll[child]).value();
@@ -176,7 +175,7 @@ void refresh(sim::Network& net, const net::SpanningTree& tree,
   }
   proto::TreeWave<BundleSpec, IncrementalEdges> wave(
       tree, session, proto::raw_item_view(), spec,
-      IncrementalEdges{net, tree, dirty, m.edges, epoch, descended, skipped});
+      IncrementalEdges{net, dirty, m.edges, epoch, descended, skipped});
   m.root = wave.execute(net, spec.request(spec.hll_registers > 0));
   m.epoch = epoch;
 }

@@ -107,11 +107,16 @@ struct MaintainedRegion {
 
 /// The drift model a maintained region is bracketed under: a reading moves
 /// by at most `max_delta` per epoch and stays in [0, domain_bound]; bundles
-/// carry margins of horizon_epochs * max_delta.
+/// carry margins of margin() = horizon_epochs * max_delta, so ranged
+/// regions bracket for up to horizon_epochs of staleness.
 struct DriftModel {
   Value domain_bound = 0;
   Value max_delta = 0;
   std::uint32_t horizon_epochs = 0;
+
+  Value margin() const {
+    return static_cast<Value>(horizon_epochs) * max_delta;
+  }
 };
 
 /// The bracket policy: the drift bracket of `m`'s root bundle at
@@ -129,14 +134,13 @@ std::optional<BundleBracket> drift_bracket(const MaintainedRegion& m,
 /// and marks each in the trace ring (edge.cached / edge.descend).
 struct IncrementalEdges {
   const sim::Network& net;
-  const net::SpanningTree& tree;
   const DirtyTracker& dirty;
   EdgeStore& store;
   std::uint32_t epoch;
   std::uint64_t& descended;
   std::uint64_t& skipped;
 
-  proto::EdgeAction edge(NodeId node, std::size_t ci, BundlePartial& acc);
+  proto::EdgeAction edge(NodeId node, NodeId child, BundlePartial& acc);
   void collected(NodeId node, NodeId child, BundlePartial&& in);
 };
 

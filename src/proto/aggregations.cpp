@@ -14,23 +14,90 @@ const LocalItemView kRawView;
 
 const LocalItemView& raw_item_view() { return kRawView; }
 
-// ---- CountAgg -------------------------------------------------------------
+// ---- shared wire shapes ----------------------------------------------------
 
-void CountAgg::encode_request(BitWriter& w, const Request& req) {
+void PredicateSpec::encode_request(BitWriter& w, const Request& req) {
   req.pred.encode(w);
 }
 
-CountAgg::Request CountAgg::decode_request(BitReader& r) {
+PredicateSpec::Request PredicateSpec::decode_request(BitReader& r) {
   return Request{Predicate::decode(r)};
 }
 
-void CountAgg::encode_partial(BitWriter& w, const Partial& p, const Request&) {
+void AdditiveSpec::encode_partial(BitWriter& w, const Partial& p,
+                                  const Request&) {
   encode_uint(w, p);
 }
 
-CountAgg::Partial CountAgg::decode_partial(BitReader& r, const Request&) {
+AdditiveSpec::Partial AdditiveSpec::decode_partial(BitReader& r,
+                                                   const Request&) {
   return decode_uint(r);
 }
+
+void AdditiveSpec::combine(Partial& acc, const Partial& in, const Request&) {
+  acc += in;
+}
+
+void ExtremeSpec::encode_partial(BitWriter& w, const Partial& p,
+                                 const Request&) {
+  w.write_bit(p.has_value());
+  if (p.has_value()) {
+    SENSORNET_EXPECTS(*p >= 0);
+    encode_uint(w, static_cast<std::uint64_t>(*p));
+  }
+}
+
+ExtremeSpec::Partial ExtremeSpec::decode_partial(BitReader& r,
+                                                 const Request&) {
+  if (!r.read_bit()) return std::nullopt;
+  return static_cast<Value>(decode_uint(r));
+}
+
+void encode_sorted_values(BitWriter& w, const ValueSet& xs, bool unique) {
+  encode_uint(w, xs.size());
+  Value prev = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    std::uint64_t gap = static_cast<std::uint64_t>(xs[i] - prev);
+    if (unique && i > 0) gap -= 1;  // gaps >= 1 shift to >= 0
+    encode_uint(w, gap);
+    prev = xs[i];
+  }
+}
+
+ValueSet decode_sorted_values(BitReader& r, bool unique) {
+  const std::uint64_t n = decode_uint(r);
+  // Every encoded value costs >= 1 bit: a length exceeding the remaining
+  // payload is corruption, not data (guards the allocation below).
+  if (n > r.remaining()) {
+    throw WireFormatError("sorted-values: length exceeds payload");
+  }
+  ValueSet xs;
+  xs.reserve(n);
+  Value prev = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::uint64_t gap = decode_uint(r);
+    if (unique && i > 0) gap += 1;
+    const Value v = prev + static_cast<Value>(gap);
+    xs.push_back(v);
+    prev = v;
+  }
+  return xs;
+}
+
+void merge_sorted_values(ValueSet& acc, const ValueSet& in, bool unique) {
+  ValueSet merged;
+  merged.reserve(acc.size() + in.size());
+  if (unique) {
+    std::set_union(acc.begin(), acc.end(), in.begin(), in.end(),
+                   std::back_inserter(merged));
+  } else {
+    std::merge(acc.begin(), acc.end(), in.begin(), in.end(),
+               std::back_inserter(merged));
+  }
+  acc = std::move(merged);
+}
+
+// ---- Count / Sum / Min / Max -----------------------------------------------
 
 CountAgg::Partial CountAgg::local(sim::Network& net, NodeId node,
                                   const Request& req,
@@ -42,28 +109,6 @@ CountAgg::Partial CountAgg::local(sim::Network& net, NodeId node,
   return c;
 }
 
-void CountAgg::combine(Partial& acc, const Partial& in, const Request&) {
-  acc += in;
-}
-
-// ---- SumAgg ---------------------------------------------------------------
-
-void SumAgg::encode_request(BitWriter& w, const Request& req) {
-  req.pred.encode(w);
-}
-
-SumAgg::Request SumAgg::decode_request(BitReader& r) {
-  return Request{Predicate::decode(r)};
-}
-
-void SumAgg::encode_partial(BitWriter& w, const Partial& p, const Request&) {
-  encode_uint(w, p);
-}
-
-SumAgg::Partial SumAgg::decode_partial(BitReader& r, const Request&) {
-  return decode_uint(r);
-}
-
 SumAgg::Partial SumAgg::local(sim::Network& net, NodeId node,
                               const Request& req, const LocalItemView& view) {
   Partial s = 0;
@@ -72,39 +117,6 @@ SumAgg::Partial SumAgg::local(sim::Network& net, NodeId node,
   }
   return s;
 }
-
-void SumAgg::combine(Partial& acc, const Partial& in, const Request&) {
-  acc += in;
-}
-
-// ---- Min/Max --------------------------------------------------------------
-
-namespace detail {
-
-void ExtremeAggBase::encode_request(BitWriter& w, const Request& req) {
-  req.pred.encode(w);
-}
-
-ExtremeAggBase::Request ExtremeAggBase::decode_request(BitReader& r) {
-  return Request{Predicate::decode(r)};
-}
-
-void ExtremeAggBase::encode_partial(BitWriter& w, const Partial& p,
-                                    const Request&) {
-  w.write_bit(p.has_value());
-  if (p.has_value()) {
-    SENSORNET_EXPECTS(*p >= 0);
-    encode_uint(w, static_cast<std::uint64_t>(*p));
-  }
-}
-
-ExtremeAggBase::Partial ExtremeAggBase::decode_partial(BitReader& r,
-                                                       const Request&) {
-  if (!r.read_bit()) return std::nullopt;
-  return static_cast<Value>(decode_uint(r));
-}
-
-}  // namespace detail
 
 MinAgg::Partial MinAgg::local(sim::Network& net, NodeId node,
                               const Request& req, const LocalItemView& view) {
@@ -132,7 +144,7 @@ void MaxAgg::combine(Partial& acc, const Partial& in, const Request&) {
   if (in && (!acc || *in > *acc)) acc = in;
 }
 
-// ---- LogLogAgg --------------------------------------------------------------
+// ---- LogLogAgg -------------------------------------------------------------
 
 namespace {
 
@@ -221,122 +233,35 @@ void LogLogAgg::combine(Partial& acc, const Partial& in, const Request&) {
   }
 }
 
-// ---- CollectAgg -------------------------------------------------------------
+// ---- Collect / DistinctSet / Sample ----------------------------------------
 
 namespace {
 
-/// Sorted-multiset wire format: length, first value, then non-negative gaps.
-void encode_sorted_values(BitWriter& w, const ValueSet& xs,
-                          bool strictly_increasing) {
-  encode_uint(w, xs.size());
-  Value prev = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    std::uint64_t gap = static_cast<std::uint64_t>(xs[i] - prev);
-    if (strictly_increasing && i > 0) gap -= 1;  // gaps >= 1 shift to >= 0
-    encode_uint(w, gap);
-    prev = xs[i];
+/// The node's matching items, ascending; duplicates dropped when `unique`.
+ValueSet sorted_matches(sim::Network& net, NodeId node, const Predicate& pred,
+                        const LocalItemView& view, bool unique) {
+  ValueSet mine;
+  for (const Value x : view.items(net, node)) {
+    if (pred.matches(x)) mine.push_back(x);
   }
-}
-
-ValueSet decode_sorted_values(BitReader& r, bool strictly_increasing) {
-  const std::uint64_t n = decode_uint(r);
-  // Every encoded value costs >= 1 bit: a length exceeding the remaining
-  // payload is corruption, not data (guards the allocation below).
-  if (n > r.remaining()) {
-    throw WireFormatError("sorted-values: length exceeds payload");
-  }
-  ValueSet xs;
-  xs.reserve(n);
-  Value prev = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t gap = decode_uint(r);
-    if (strictly_increasing && i > 0) gap += 1;
-    const Value v = prev + static_cast<Value>(gap);
-    xs.push_back(v);
-    prev = v;
-  }
-  return xs;
+  std::sort(mine.begin(), mine.end());
+  if (unique) mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
+  return mine;
 }
 
 }  // namespace
 
-void CollectAgg::encode_request(BitWriter& w, const Request& req) {
-  req.pred.encode(w);
-}
-
-CollectAgg::Request CollectAgg::decode_request(BitReader& r) {
-  return Request{Predicate::decode(r)};
-}
-
-void CollectAgg::encode_partial(BitWriter& w, const Partial& p,
-                                const Request&) {
-  encode_sorted_values(w, p, /*strictly_increasing=*/false);
-}
-
-CollectAgg::Partial CollectAgg::decode_partial(BitReader& r, const Request&) {
-  return decode_sorted_values(r, /*strictly_increasing=*/false);
-}
-
 CollectAgg::Partial CollectAgg::local(sim::Network& net, NodeId node,
                                       const Request& req,
                                       const LocalItemView& view) {
-  Partial mine;
-  for (const Value x : view.items(net, node)) {
-    if (req.pred.matches(x)) mine.push_back(x);
-  }
-  std::sort(mine.begin(), mine.end());
-  return mine;
-}
-
-void CollectAgg::combine(Partial& acc, const Partial& in, const Request&) {
-  Partial merged;
-  merged.reserve(acc.size() + in.size());
-  std::merge(acc.begin(), acc.end(), in.begin(), in.end(),
-             std::back_inserter(merged));
-  acc = std::move(merged);
-}
-
-// ---- DistinctSetAgg ----------------------------------------------------------
-
-void DistinctSetAgg::encode_request(BitWriter& w, const Request& req) {
-  req.pred.encode(w);
-}
-
-DistinctSetAgg::Request DistinctSetAgg::decode_request(BitReader& r) {
-  return Request{Predicate::decode(r)};
-}
-
-void DistinctSetAgg::encode_partial(BitWriter& w, const Partial& p,
-                                    const Request&) {
-  encode_sorted_values(w, p, /*strictly_increasing=*/true);
-}
-
-DistinctSetAgg::Partial DistinctSetAgg::decode_partial(BitReader& r,
-                                                       const Request&) {
-  return decode_sorted_values(r, /*strictly_increasing=*/true);
+  return sorted_matches(net, node, req.pred, view, /*unique=*/false);
 }
 
 DistinctSetAgg::Partial DistinctSetAgg::local(sim::Network& net, NodeId node,
                                               const Request& req,
                                               const LocalItemView& view) {
-  Partial mine;
-  for (const Value x : view.items(net, node)) {
-    if (req.pred.matches(x)) mine.push_back(x);
-  }
-  std::sort(mine.begin(), mine.end());
-  mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
-  return mine;
+  return sorted_matches(net, node, req.pred, view, /*unique=*/true);
 }
-
-void DistinctSetAgg::combine(Partial& acc, const Partial& in, const Request&) {
-  Partial merged;
-  merged.reserve(acc.size() + in.size());
-  std::set_union(acc.begin(), acc.end(), in.begin(), in.end(),
-                 std::back_inserter(merged));
-  acc = std::move(merged);
-}
-
-// ---- SampleAgg ----------------------------------------------------------------
 
 void SampleAgg::encode_request(BitWriter& w, const Request& req) {
   req.pred.encode(w);
@@ -352,11 +277,11 @@ SampleAgg::Request SampleAgg::decode_request(BitReader& r) {
 
 void SampleAgg::encode_partial(BitWriter& w, const Partial& p,
                                const Request&) {
-  encode_sorted_values(w, p, /*strictly_increasing=*/false);
+  encode_sorted_values(w, p, /*unique=*/false);
 }
 
 SampleAgg::Partial SampleAgg::decode_partial(BitReader& r, const Request&) {
-  return decode_sorted_values(r, /*strictly_increasing=*/false);
+  return decode_sorted_values(r, /*unique=*/false);
 }
 
 SampleAgg::Partial SampleAgg::local(sim::Network& net, NodeId node,
@@ -373,11 +298,7 @@ SampleAgg::Partial SampleAgg::local(sim::Network& net, NodeId node,
 }
 
 void SampleAgg::combine(Partial& acc, const Partial& in, const Request&) {
-  Partial merged;
-  merged.reserve(acc.size() + in.size());
-  std::merge(acc.begin(), acc.end(), in.begin(), in.end(),
-             std::back_inserter(merged));
-  acc = std::move(merged);
+  merge_sorted_values(acc, in, /*unique=*/false);
 }
 
 }  // namespace sensornet::proto

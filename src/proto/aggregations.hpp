@@ -7,6 +7,14 @@
 // toolbox: MIN / MAX / COUNT / SUM (Fact 2.1), COUNTP (Section 3.1), LogLog
 // register aggregation (Fact 2.2), and the heavyweight collect / distinct-set
 // partials used by baselines and by exact COUNT_DISTINCT (Section 5).
+//
+// Each wire shape is written once, in a small base the specs derive:
+// PredicateSpec (a predicate-only request), AdditiveSpec (COUNT/SUM's uint64
+// partial), ExtremeSpec (MIN/MAX's optional value) and SortedValuesSpec
+// (COLLECT/DISTINCT-SET's gap-coded sorted list, whose helpers SAMPLE
+// reuses). A spec itself states only its local contribution, plus the
+// combine step where siblings differ (MIN vs MAX). LogLog and SAMPLE ship
+// extra request fields and keep request codecs of their own.
 #pragma once
 
 #include <cstdint>
@@ -22,66 +30,89 @@
 namespace sensornet::proto {
 
 // ---------------------------------------------------------------------------
-// COUNTP: number of items satisfying a predicate (Fact 2.1 / Section 3.1).
+// Shared wire shapes (see the file comment).
 // ---------------------------------------------------------------------------
-struct CountAgg {
+
+/// A spec whose request is a predicate alone: the wire image is the
+/// predicate's.
+struct PredicateSpec {
   struct Request {
     Predicate pred = Predicate::always_true();
   };
-  using Partial = std::uint64_t;
 
   static void encode_request(BitWriter& w, const Request& req);
   static Request decode_request(BitReader& r);
+};
+
+/// Additive partials: a uint64 shipped as one Elias-delta code, combined by
+/// addition (COUNTP, SUMP).
+struct AdditiveSpec : PredicateSpec {
+  using Partial = std::uint64_t;
+
   static void encode_partial(BitWriter& w, const Partial& p, const Request&);
   static Partial decode_partial(BitReader& r, const Request&);
+  static void combine(Partial& acc, const Partial& in, const Request&);
+};
+
+/// Extreme-value partials: empty when the subtree holds no matching item
+/// (passive subtrees in Fig. 4), else one non-negative value (MIN, MAX).
+struct ExtremeSpec : PredicateSpec {
+  using Partial = std::optional<Value>;
+
+  static void encode_partial(BitWriter& w, const Partial& p, const Request&);
+  static Partial decode_partial(BitReader& r, const Request&);
+};
+
+/// Sorted value-list wire format: length, first value, then non-negative
+/// gaps — less one each when `unique` (strictly increasing) values.
+void encode_sorted_values(BitWriter& w, const ValueSet& xs, bool unique);
+ValueSet decode_sorted_values(BitReader& r, bool unique);
+/// Folds the sorted list `in` into the sorted list `acc`: a multiset merge,
+/// or a set union when `unique`.
+void merge_sorted_values(ValueSet& acc, const ValueSet& in, bool unique);
+
+/// Sorted value-list partials (COLLECT, DISTINCT-SET).
+template <bool kUnique>
+struct SortedValuesSpec : PredicateSpec {
+  using Partial = ValueSet;
+
+  static void encode_partial(BitWriter& w, const Partial& p, const Request&) {
+    encode_sorted_values(w, p, kUnique);
+  }
+  static Partial decode_partial(BitReader& r, const Request&) {
+    return decode_sorted_values(r, kUnique);
+  }
+  static void combine(Partial& acc, const Partial& in, const Request&) {
+    merge_sorted_values(acc, in, kUnique);
+  }
+};
+
+// ---------------------------------------------------------------------------
+// COUNTP: number of items satisfying a predicate (Fact 2.1 / Section 3.1).
+// ---------------------------------------------------------------------------
+struct CountAgg : AdditiveSpec {
   static Partial local(sim::Network& net, NodeId node, const Request& req,
                        const LocalItemView& view);
-  static void combine(Partial& acc, const Partial& in, const Request&);
 };
 
 // ---------------------------------------------------------------------------
 // SUMP: sum of items satisfying a predicate (with COUNT this gives AVERAGE).
 // ---------------------------------------------------------------------------
-struct SumAgg {
-  struct Request {
-    Predicate pred = Predicate::always_true();
-  };
-  using Partial = std::uint64_t;
+struct SumAgg : AdditiveSpec {
+  static Partial local(sim::Network& net, NodeId node, const Request& req,
+                       const LocalItemView& view);
+};
 
-  static void encode_request(BitWriter& w, const Request& req);
-  static Request decode_request(BitReader& r);
-  static void encode_partial(BitWriter& w, const Partial& p, const Request&);
-  static Partial decode_partial(BitReader& r, const Request&);
+// ---------------------------------------------------------------------------
+// MIN / MAX over items satisfying a predicate.
+// ---------------------------------------------------------------------------
+struct MinAgg : ExtremeSpec {
   static Partial local(sim::Network& net, NodeId node, const Request& req,
                        const LocalItemView& view);
   static void combine(Partial& acc, const Partial& in, const Request&);
 };
 
-// ---------------------------------------------------------------------------
-// MIN / MAX over items satisfying a predicate. The partial is empty when the
-// subtree holds no matching item (passive subtrees in Fig. 4).
-// ---------------------------------------------------------------------------
-namespace detail {
-struct ExtremeAggBase {
-  struct Request {
-    Predicate pred = Predicate::always_true();
-  };
-  using Partial = std::optional<Value>;
-
-  static void encode_request(BitWriter& w, const Request& req);
-  static Request decode_request(BitReader& r);
-  static void encode_partial(BitWriter& w, const Partial& p, const Request&);
-  static Partial decode_partial(BitReader& r, const Request&);
-};
-}  // namespace detail
-
-struct MinAgg : detail::ExtremeAggBase {
-  static Partial local(sim::Network& net, NodeId node, const Request& req,
-                       const LocalItemView& view);
-  static void combine(Partial& acc, const Partial& in, const Request&);
-};
-
-struct MaxAgg : detail::ExtremeAggBase {
+struct MaxAgg : ExtremeSpec {
   static Partial local(sim::Network& net, NodeId node, const Request& req,
                        const LocalItemView& view);
   static void combine(Partial& acc, const Partial& in, const Request&);
@@ -124,43 +155,24 @@ struct LogLogAgg {
 // COLLECT: ship every matching item uptree (sorted multiset). The TAG-style
 // "holistic aggregate" baseline — linear individual communication.
 // ---------------------------------------------------------------------------
-struct CollectAgg {
-  struct Request {
-    Predicate pred = Predicate::always_true();
-  };
-  using Partial = ValueSet;  // kept sorted ascending
-
-  static void encode_request(BitWriter& w, const Request& req);
-  static Request decode_request(BitReader& r);
-  static void encode_partial(BitWriter& w, const Partial& p, const Request&);
-  static Partial decode_partial(BitReader& r, const Request&);
+struct CollectAgg : SortedValuesSpec<false> {
   static Partial local(sim::Network& net, NodeId node, const Request& req,
                        const LocalItemView& view);
-  static void combine(Partial& acc, const Partial& in, const Request&);
 };
 
 // ---------------------------------------------------------------------------
 // DISTINCT-SET: union of distinct matching values (exact COUNT_DISTINCT's
 // only sublinear-free option, Section 5). Encoded as ascending gaps.
 // ---------------------------------------------------------------------------
-struct DistinctSetAgg {
-  struct Request {
-    Predicate pred = Predicate::always_true();
-  };
-  using Partial = ValueSet;  // sorted, unique
-
-  static void encode_request(BitWriter& w, const Request& req);
-  static Request decode_request(BitReader& r);
-  static void encode_partial(BitWriter& w, const Partial& p, const Request&);
-  static Partial decode_partial(BitReader& r, const Request&);
+struct DistinctSetAgg : SortedValuesSpec<true> {
   static Partial local(sim::Network& net, NodeId node, const Request& req,
                        const LocalItemView& view);
-  static void combine(Partial& acc, const Partial& in, const Request&);
 };
 
 // ---------------------------------------------------------------------------
 // SAMPLE: Bernoulli(p) subsample of matching items (the [10]-style uniform
-// sampling synopsis). p is a 20-bit fixed-point fraction in the request.
+// sampling synopsis). p is a 20-bit fixed-point fraction in the request; the
+// partial is a sorted value list, coded and merged as COLLECT's.
 // ---------------------------------------------------------------------------
 struct SampleAgg {
   static constexpr std::uint32_t kProbOne = 1u << 20;

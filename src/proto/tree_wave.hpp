@@ -13,15 +13,20 @@
 // partials this is Fact 2.1's O(log N) per node.
 //
 // An optional edge policy makes the same engine carry incremental and pruned
-// collections. Before a node forwards the request it asks the policy about
-// each child edge: descend, fold a cached partial for the subtree into the
-// node's accumulator instead (no message), or prune the subtree outright.
-// The policy also sees every partial a child sends up, so it can keep it
-// for the next wave. Per-wave state is sparse — one slot index per node plus
-// state for the nodes the wave reaches — because incremental waves touch only
-// a few root paths of a large tree. The state vector reserves room for every
-// node up front, so states never move while the wave grows; slots of nodes
-// the wave does not reach are never constructed.
+// collections. A tree edge is named (node, child) — the child alone
+// identifies it, since every non-root node has exactly one parent edge.
+// Before a node forwards the request it asks the policy about each child
+// edge: descend, fold a cached partial for the subtree into the node's
+// accumulator instead (no message), or prune the subtree outright. The
+// policy also sees every partial a child sends up, so it can keep it for the
+// next wave, keyed by the child, which stays valid when the children list
+// of a node changes.
+//
+// Per-wave state is sparse — one slot index per node plus state for the
+// nodes the wave reaches — because incremental waves touch only a few root
+// paths of a large tree. The state vector reserves room for every node up
+// front, so states never move while the wave grows; slots of nodes the wave
+// does not reach are never constructed.
 #pragma once
 
 #include <concepts>
@@ -66,7 +71,7 @@ enum class EdgeAction {
 /// The default edge policy: every edge descends and nothing is kept.
 struct DescendAll {
   template <typename Partial>
-  EdgeAction edge(NodeId /*node*/, std::size_t /*ci*/, Partial& /*acc*/) {
+  EdgeAction edge(NodeId /*node*/, NodeId /*child*/, Partial& /*acc*/) {
     return EdgeAction::kDescend;
   }
   template <typename Partial>
@@ -81,8 +86,8 @@ class TreeWave final : public sim::ProtocolHandler {
 
   /// The tree and view must outlive the wave. `edges` decides, per child
   /// edge of a node the wave reaches, whether the request descends it
-  /// (edge(node, child_index, acc)), and is handed each partial a child sends
-  /// up (collected(node, child, partial)) after it was combined.
+  /// (edge(node, child, acc)), and is handed each partial a child sends up
+  /// (collected(node, child, partial)) after it was combined.
   TreeWave(const net::SpanningTree& tree, std::uint32_t session,
            const LocalItemView& view = raw_item_view(), A spec = {},
            Edges edges = {})
@@ -156,17 +161,16 @@ class TreeWave final : public sim::ProtocolHandler {
     // same payload slab (identical wire bits, no per-child re-encode).
     std::optional<sim::Payload> slab;
     std::uint32_t bits = 0;
-    const auto& children = tree_.children[node];
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      if (edges_.edge(node, ci, st.acc) != EdgeAction::kDescend) continue;
+    for (const NodeId child : tree_.children[node]) {
+      if (edges_.edge(node, child, st.acc) != EdgeAction::kDescend) continue;
       if (!slab) {
         BitWriter w;
         spec_.encode_request(w, st.request);
         bits = static_cast<std::uint32_t>(w.bit_count());
         slab.emplace(w.bytes().data(), w.bytes().size());
       }
-      net.send(sim::Message::with_payload(node, children[ci], session_,
-                                          kRequestKind, *slab, bits));
+      net.send(sim::Message::with_payload(node, child, session_, kRequestKind,
+                                          *slab, bits));
       ++st.pending;
     }
     if (st.pending == 0) finish_node(net, node);

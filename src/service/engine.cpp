@@ -26,29 +26,22 @@ CostDelta cost_since(const sim::Network& net, const sim::CommSummary& before) {
                    after.total_messages - before.total_messages};
 }
 
-cube::CubeConfig cube_config_from(const ServiceConfig& c) {
-  cube::CubeConfig cc;
-  cc.levels = c.cube_levels;
-  cc.distinct_registers = c.cube_distinct_registers;
-  cc.max_delta = c.max_delta;
-  cc.horizon_epochs = c.cache_horizon_epochs;
-  return cc;
-}
-
 }  // namespace
 
 QueryService::QueryService(query::Deployment deployment, ServiceConfig config)
     : deployment_(deployment),
       config_(config),
       executor_(deployment),
-      store_(deployment.net, deployment.tree, deployment.max_value_bound,
-             config.max_delta, config.cache_horizon_epochs,
+      store_(deployment.net, deployment.tree,
+             cube::DriftModel{deployment.max_value_bound, config.max_delta,
+                              config.cache_horizon_epochs},
              config.cache_capacity),
       cube_(config.use_cube
                 ? std::make_unique<cube::Cube>(
-                      deployment.net, deployment.tree,
-                      deployment.max_value_bound, store_.dirty(),
-                      cube_config_from(config))
+                      deployment.net, deployment.tree, store_.drift(),
+                      store_.dirty(),
+                      cube::CubeConfig{config.cube_levels,
+                                       config.cube_distinct_registers})
                 : nullptr),
       planner_(deployment.max_value_bound, cube_.get()),
       farm_(config.threads) {

@@ -6,7 +6,6 @@
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
 #include "src/core/count_distinct.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/proto/item_view.hpp"
 #include "src/proto/tree_broadcast.hpp"
@@ -14,19 +13,6 @@
 namespace sensornet::service {
 
 namespace {
-
-/// Mirrors the store's cumulative wave stats into registry gauges (last
-/// write wins, so the gauge always shows the current cumulative value).
-/// Called after every wave — cold path relative to the wave itself.
-void mirror_plan_stats(const SharedPlanStats& s) {
-  obs::Registry& reg = obs::Registry::global();
-  reg.gauge_set(reg.gauge("svc.plan.stats_waves"), s.stats_waves);
-  reg.gauge_set(reg.gauge("svc.plan.distinct_waves"), s.distinct_waves);
-  reg.gauge_set(reg.gauge("svc.plan.edges_descended"), s.edges_descended);
-  reg.gauge_set(reg.gauge("svc.plan.edges_skipped"), s.edges_skipped);
-  reg.gauge_set(reg.gauge("svc.plan.mark_messages"), s.mark_messages);
-  reg.gauge_set(reg.gauge("svc.plan.groups_created"), s.groups_created);
-}
 
 /// Distinct-group item filter: exposes only readings inside the group's
 /// region. A ranged region was installed at every node by the group's
@@ -52,14 +38,13 @@ class RegionView final : public proto::LocalItemView {
 }  // namespace
 
 RegionStore::RegionStore(sim::Network& net, const net::SpanningTree& tree,
-                         Value max_value_bound, Value max_delta,
-                         std::uint32_t horizon_epochs, std::size_t capacity)
+                         const cube::DriftModel& drift, std::size_t capacity)
     : net_(net),
       tree_(tree),
-      model_{max_value_bound, max_delta, horizon_epochs},
+      drift_(drift),
       capacity_(capacity),
       dirty_(net, tree) {
-  SENSORNET_EXPECTS(max_value_bound >= 0 && max_delta >= 0);
+  SENSORNET_EXPECTS(drift.domain_bound >= 0 && drift.max_delta >= 0);
   SENSORNET_EXPECTS(capacity > 0);
 }
 
@@ -83,8 +68,7 @@ GroupId RegionStore::add_group(const query::RegionSignature& region,
     encode_uint(w, static_cast<std::uint64_t>(region.lo));
     encode_uint(w, static_cast<std::uint64_t>(region.hi - region.lo));
     if (stats != nullptr) {
-      encode_uint(w, static_cast<std::uint64_t>(model_.horizon_epochs) *
-                         static_cast<std::uint64_t>(model_.max_delta));
+      encode_uint(w, static_cast<std::uint64_t>(drift_.margin()));
     }
     install.execute(net_, std::move(w));
   }
@@ -119,17 +103,15 @@ void RegionStore::note_updates(std::span<const NodeId> updated,
                                std::uint32_t epoch) {
   dirty_.note_updates(updated, epoch);
   stats_.mark_messages = dirty_.mark_messages();
-  mirror_plan_stats(stats_);
 }
 
-void RegionStore::finish_wave(const char* name, GroupId group,
+void RegionStore::trace_wave(const char* name, GroupId group,
                               std::uint32_t epoch, SimTime t0) const {
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
     ring.complete(name, "service", t0, net_.now() - t0, 0, "group", group,
                   "epoch", epoch);
   }
-  mirror_plan_stats(stats_);
 }
 
 const StatsBundle& RegionStore::collect_stats(GroupId group,
@@ -141,12 +123,12 @@ const StatsBundle& RegionStore::collect_stats(GroupId group,
   const SimTime t0 = net_.now();
   cube::BundleSpec spec;
   spec.region = m.region;
-  spec.margin = static_cast<Value>(model_.horizon_epochs) * model_.max_delta;
-  spec.domain_bound = model_.domain_bound;
+  spec.margin = drift_.margin();
+  spec.domain_bound = drift_.domain_bound;
   cube::refresh(net_, tree_, dirty_, spec, g.session, epoch, m,
                 stats_.edges_descended, stats_.edges_skipped);
   ++stats_.stats_waves;
-  finish_wave("collect.stats", group, epoch, t0);
+  trace_wave("collect.stats", group, epoch, t0);
   return m.root.bundle;
 }
 
@@ -167,7 +149,7 @@ double RegionStore::collect_distinct(GroupId group, std::uint32_t epoch) {
   }
   g.epoch = epoch;
   ++stats_.distinct_waves;
-  finish_wave("collect.distinct", group, epoch, t0);
+  trace_wave("collect.distinct", group, epoch, t0);
   return g.estimate;
 }
 
@@ -207,7 +189,7 @@ std::optional<cube::BracketedAnswer> RegionStore::check(
     return std::nullopt;
   }
   const cube::MaintainedRegion& m = it->second.state;
-  const auto br = cube::drift_bracket(m, now_epoch, model_);
+  const auto br = cube::drift_bracket(m, now_epoch, drift_);
   if (!br) {
     ++counters_.expired;
     return std::nullopt;

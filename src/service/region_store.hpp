@@ -82,11 +82,10 @@ struct SharedPlanStats {
 
 class RegionStore {
  public:
-  /// Bundles carry margins of horizon_epochs * max_delta, so ranged entries
-  /// bracket for that many epochs. `capacity` bounds root-only entries.
+  /// Bundles carry margins of drift.margin(), so ranged entries bracket for
+  /// drift.horizon_epochs epochs. `capacity` bounds root-only entries.
   RegionStore(sim::Network& net, const net::SpanningTree& tree,
-              Value max_value_bound, Value max_delta,
-              std::uint32_t horizon_epochs, std::size_t capacity = 1024);
+              const cube::DriftModel& drift, std::size_t capacity = 1024);
 
   RegionStore(const RegionStore&) = delete;
   RegionStore& operator=(const RegionStore&) = delete;
@@ -132,6 +131,9 @@ class RegionStore {
   /// The freshness oracle of every incremental refresh (the store's and
   /// the cube's).
   const cube::DirtyTracker& dirty() const { return dirty_; }
+  /// The drift model every bracket and margin follows (the store's and the
+  /// cube's).
+  const cube::DriftModel& drift() const { return drift_; }
   const CacheCounters& counters() const { return counters_; }
   const SharedPlanStats& stats() const { return stats_; }
   std::size_t size() const { return regions_.size(); }
@@ -155,8 +157,8 @@ class RegionStore {
   /// broadcast; `stats` is the pinned entry of a stats group, else null.
   GroupId add_group(const query::RegionSignature& region, Entry* stats,
                     unsigned registers);
-  /// Traces a group's wave since `t0` and mirrors the wave stats.
-  void finish_wave(const char* name, GroupId group, std::uint32_t epoch,
+  /// Traces a group's wave since `t0`.
+  void trace_wave(const char* name, GroupId group, std::uint32_t epoch,
                    SimTime t0) const;
   std::optional<cube::BracketedAnswer> check(
       const query::RegionSignature& region, query::AggregateKind agg,
@@ -165,7 +167,7 @@ class RegionStore {
 
   sim::Network& net_;
   const net::SpanningTree& tree_;
-  cube::DriftModel model_;
+  cube::DriftModel drift_;
   std::size_t capacity_;
   cube::DirtyTracker dirty_;
   std::map<query::RegionSignature, Entry> regions_;

@@ -18,8 +18,9 @@ namespace sensornet::cube {
 namespace {
 
 constexpr Value kBound = 1000;
-constexpr Value kDelta = 4;     // CubeConfig default max_delta
-constexpr std::uint32_t kHorizon = 8;  // CubeConfig default horizon_epochs
+constexpr Value kDelta = 4;
+constexpr std::uint32_t kHorizon = 8;
+const DriftModel kDrift{kBound, kDelta, kHorizon};
 /// An ERROR no bracket fails: stale_bracket then returns every bracket.
 constexpr double kAnyError = std::numeric_limits<double>::infinity();
 
@@ -48,7 +49,7 @@ struct Fixture {
       : net(net::make_grid(8, 8), seed),
         tree(net::bfs_tree(net.graph(), 0)),
         dirty(net, tree),
-        cube(net, tree, kBound, dirty, cfg) {
+        cube(net, tree, kDrift, dirty, cfg) {
     ValueSet vs(64);
     for (NodeId u = 0; u < 64; ++u) {
       vs[u] = static_cast<Value>((u * 37) % 200);
@@ -360,37 +361,35 @@ class ReferenceCostModel {
   std::uint64_t residue_edges(const query::RegionSignature& region,
                               NodeId node) const {
     std::uint64_t edges = 0;
-    const auto& kids = tree_.children[node];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      if (provably_empty(node, ci, region)) continue;
-      edges += 1 + residue_edges(region, kids[ci]);
+    for (const NodeId child : tree_.children[node]) {
+      if (provably_empty(child, region)) continue;
+      edges += 1 + residue_edges(region, child);
     }
     return edges;
   }
 
   std::uint64_t stale_edges(query::CubeCellRef ref, NodeId node) const {
     std::uint64_t edges = 0;
-    const auto& kids = tree_.children[node];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      const auto p = cube_.cached_partial(ref, node, ci);
-      if (dirty_.edge_fresh(node, ci,
+    for (const NodeId child : tree_.children[node]) {
+      const auto p = cube_.cached_partial(ref, child);
+      if (dirty_.edge_fresh(child,
                             p ? p->epoch : DirtyTracker::kInvalidEpoch)) {
         continue;
       }
-      edges += 1 + stale_edges(ref, kids[ci]);
+      edges += 1 + stale_edges(ref, child);
     }
     return edges;
   }
 
  private:
-  bool provably_empty(NodeId node, std::size_t ci,
+  bool provably_empty(NodeId child,
                       const query::RegionSignature& region) const {
     for (unsigned level = 0; level < cube_.levels(); ++level) {
       for (unsigned i = 0; i < (1u << level); ++i) {
         const query::RegionSignature cr = cube_.cell_region({level, i});
         if (cr.lo > region.lo || cr.hi < region.hi) continue;
-        const auto p = cube_.cached_partial({level, i}, node, ci);
-        if (p && dirty_.edge_fresh(node, ci, p->epoch) &&
+        const auto p = cube_.cached_partial({level, i}, child);
+        if (p && dirty_.edge_fresh(child, p->epoch) &&
             p->bundle.outer.count == 0) {
           return true;
         }

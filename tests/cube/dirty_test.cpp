@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/common/rng.hpp"
 #include "src/net/topology.hpp"
 
 namespace sensornet::cube {
@@ -18,25 +22,15 @@ struct Fixture {
         dirty(net, tree) {}
 };
 
-TEST(DirtyTracker, ChildIndexFindsEachChild) {
-  Fixture f;
-  for (NodeId u = 0; u < f.tree.node_count(); ++u) {
-    const auto& kids = f.tree.children[u];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      EXPECT_EQ(child_index(f.tree, u, kids[ci]), ci);
-    }
-  }
-}
-
 TEST(DirtyTracker, EverythingIsFreshBeforeAnyChange) {
   Fixture f;
   for (NodeId u = 0; u < f.tree.node_count(); ++u) {
-    EXPECT_EQ(f.dirty.subtree_changed_epoch(u), DirtyTracker::kNever);
-    for (std::size_t ci = 0; ci < f.tree.children[u].size(); ++ci) {
+    EXPECT_EQ(f.dirty.edge_changed_epoch(u), DirtyTracker::kNever);
+    for (const NodeId child : f.tree.children[u]) {
       // A partial taken at epoch 0 is still exact...
-      EXPECT_TRUE(f.dirty.edge_fresh(u, ci, 0));
+      EXPECT_TRUE(f.dirty.edge_fresh(child, 0));
       // ...but "no partial" never reads as fresh.
-      EXPECT_FALSE(f.dirty.edge_fresh(u, ci, DirtyTracker::kInvalidEpoch));
+      EXPECT_FALSE(f.dirty.edge_fresh(child, DirtyTracker::kInvalidEpoch));
     }
   }
   EXPECT_EQ(f.dirty.mark_messages(), 0u);
@@ -48,8 +42,12 @@ TEST(DirtyTracker, MarkPropagatesAlongTheRootPathOnly) {
   const std::vector<NodeId> touched{changed};
   f.dirty.note_updates(touched, 1);
 
-  EXPECT_EQ(f.dirty.subtree_changed_epoch(changed), 1u);
-  EXPECT_EQ(f.dirty.subtree_changed_epoch(f.tree.root), 1u);
+  // The changed node's own edge and the root's edge on its path both heard
+  // the mark.
+  NodeId top = changed;
+  while (f.tree.parent[top] != f.tree.root) top = f.tree.parent[top];
+  EXPECT_EQ(f.dirty.edge_changed_epoch(changed), 1u);
+  EXPECT_EQ(f.dirty.edge_changed_epoch(top), 1u);
 
   // Every edge on the root path is stale for epoch-0 partials; every edge
   // off it stays fresh.
@@ -59,18 +57,15 @@ TEST(DirtyTracker, MarkPropagatesAlongTheRootPathOnly) {
   }
   std::uint64_t stale_edges = 0;
   for (NodeId u = 0; u < f.tree.node_count(); ++u) {
-    const auto& kids = f.tree.children[u];
-    for (std::size_t ci = 0; ci < kids.size(); ++ci) {
-      const bool fresh = f.dirty.edge_fresh(u, ci, 0);
-      EXPECT_EQ(fresh, !on_path[kids[ci]]);
+    for (const NodeId child : f.tree.children[u]) {
+      const bool fresh = f.dirty.edge_fresh(child, 0);
+      EXPECT_EQ(fresh, !on_path[child]);
       if (!fresh) ++stale_edges;
     }
   }
   EXPECT_EQ(stale_edges, f.tree.depth[changed]);
   // A partial taken at the change epoch is fresh again.
-  const NodeId parent = f.tree.parent[changed];
-  EXPECT_TRUE(
-      f.dirty.edge_fresh(parent, child_index(f.tree, parent, changed), 1));
+  EXPECT_TRUE(f.dirty.edge_fresh(changed, 1));
   // One mark message per root-path edge.
   EXPECT_EQ(f.dirty.mark_messages(), f.tree.depth[changed]);
 }
@@ -97,12 +92,49 @@ TEST(DirtyTracker, LaterEpochsStaleEarlierPartials) {
   const std::vector<NodeId> touched{63};
   f.dirty.note_updates(touched, 1);
   f.dirty.note_updates(touched, 3);
-  const NodeId parent = f.tree.parent[63];
-  const std::size_t ci = child_index(f.tree, parent, 63);
-  EXPECT_EQ(f.dirty.child_changed_epoch(parent, ci), 3u);
-  EXPECT_FALSE(f.dirty.edge_fresh(parent, ci, 1));
-  EXPECT_FALSE(f.dirty.edge_fresh(parent, ci, 2));
-  EXPECT_TRUE(f.dirty.edge_fresh(parent, ci, 3));
+  EXPECT_EQ(f.dirty.edge_changed_epoch(63), 3u);
+  EXPECT_FALSE(f.dirty.edge_fresh(63, 1));
+  EXPECT_FALSE(f.dirty.edge_fresh(63, 2));
+  EXPECT_TRUE(f.dirty.edge_fresh(63, 3));
+}
+
+TEST(DirtyTracker, EdgeEpochIsTheLastUpdateBelowTheChild) {
+  // Random update batches over a random tree; after every batch each edge's
+  // record must equal, by brute force, the last epoch in which some node of
+  // the child's subtree was updated.
+  Xoshiro256 rng(11);
+  sim::Network net(
+      net::make_topology(net::TopologyKind::kGeometric, 120, rng), 5);
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 17);
+  DirtyTracker dirty(net, tree);
+  std::vector<std::uint32_t> last_update(tree.node_count(),
+                                         DirtyTracker::kNever);
+  for (std::uint32_t epoch = 1; epoch <= 12; ++epoch) {
+    std::vector<NodeId> batch;
+    const std::uint64_t size = rng.next_below(6);  // empty batches too
+    for (std::uint64_t i = 0; i < size; ++i) {
+      const auto u = static_cast<NodeId>(rng.next_below(tree.node_count()));
+      if (std::find(batch.begin(), batch.end(), u) == batch.end()) {
+        batch.push_back(u);
+      }
+    }
+    dirty.note_updates(batch, epoch);
+    for (const NodeId u : batch) last_update[u] = epoch;
+
+    for (NodeId child = 0; child < tree.node_count(); ++child) {
+      if (child == tree.root) continue;
+      std::uint32_t expected = DirtyTracker::kNever;
+      std::vector<NodeId> stack{child};
+      while (!stack.empty()) {
+        const NodeId v = stack.back();
+        stack.pop_back();
+        expected = std::max(expected, last_update[v]);
+        for (const NodeId c : tree.children[v]) stack.push_back(c);
+      }
+      EXPECT_EQ(dirty.edge_changed_epoch(child), expected)
+          << "epoch " << epoch << ", child " << child;
+    }
+  }
 }
 
 }  // namespace

@@ -154,15 +154,17 @@ using EdgeLog = std::vector<std::pair<NodeId, NodeId>>;  // (node, child)
 
 /// Scripted edge policy: a verdict per child node (absent = descend); a
 /// cached edge folds `cached_value` into the accumulator. Logs every reply
-/// the wave hands to collected().
+/// the wave hands to collected(), and every edge it asks about in `asked`
+/// when set.
 struct ScriptedEdges {
-  const net::SpanningTree* tree = nullptr;
   std::map<NodeId, EdgeAction> verdict;
   std::uint64_t cached_value = 0;
   EdgeLog* log = nullptr;
+  EdgeLog* asked = nullptr;
 
-  EdgeAction edge(NodeId node, std::size_t ci, std::uint64_t& acc) {
-    const auto it = verdict.find(tree->children[node][ci]);
+  EdgeAction edge(NodeId node, NodeId child, std::uint64_t& acc) {
+    if (asked != nullptr) asked->emplace_back(node, child);
+    const auto it = verdict.find(child);
     if (it == verdict.end()) return EdgeAction::kDescend;
     if (it->second == EdgeAction::kCached) acc += cached_value;
     return it->second;
@@ -201,7 +203,7 @@ TEST(TreeWaveEdges, CachedEdgeSendsNothingAndFoldsItsPartial) {
   EdgeLog log;
   TreeWave<SumAgg, ScriptedEdges> wave(
       tree, 1, raw_item_view(), {},
-      ScriptedEdges{&tree, {{3, EdgeAction::kCached}}, 1000, &log});
+      ScriptedEdges{{{3, EdgeAction::kCached}}, 1000, &log});
   // Nodes 0..2 answer for themselves; the subtree below 2 is the cache's.
   EXPECT_EQ(wave.execute(net, {Predicate::always_true()}), 1u + 2 + 3 + 1000);
   // Two descended edges, one request and one response each.
@@ -215,7 +217,7 @@ TEST(TreeWaveEdges, PrunedEdgeContributesNothing) {
   EdgeLog log;
   TreeWave<SumAgg, ScriptedEdges> wave(
       tree, 1, raw_item_view(), {},
-      ScriptedEdges{&tree, {{3, EdgeAction::kPrune}}, 1000, &log});
+      ScriptedEdges{{{3, EdgeAction::kPrune}}, 1000, &log});
   EXPECT_EQ(wave.execute(net, {Predicate::always_true()}), 1u + 2 + 3);
   EXPECT_EQ(net.summary().total_messages, 4u);
   EXPECT_EQ(log, (EdgeLog{{1, 2}, {0, 1}}));
@@ -226,7 +228,7 @@ TEST(TreeWaveEdges, CollectedSeesEachRespondingChildExactlyOnce) {
   const net::SpanningTree tree = net::bfs_tree(net.graph(), 12);
   EdgeLog log;
   TreeWave<SumAgg, ScriptedEdges> wave(tree, 1, raw_item_view(), {},
-                                       ScriptedEdges{&tree, {}, 0, &log});
+                                       ScriptedEdges{{}, 0, &log});
   EXPECT_EQ(wave.execute(net, {Predicate::always_true()}), 25u * 26 / 2);
   EdgeLog expected;
   for (NodeId u = 0; u < tree.node_count(); ++u) {
@@ -256,8 +258,7 @@ TEST(TreeWaveEdges, MidTreePruneStillYieldsTheRootResult) {
   EdgeLog log;
   TreeWave<SumAgg, ScriptedEdges> wave(
       tree, 1, raw_item_view(), {},
-      ScriptedEdges{&tree,
-                    {{pruned, EdgeAction::kPrune},
+      ScriptedEdges{{{pruned, EdgeAction::kPrune},
                      {cached, EdgeAction::kCached}},
                     7,
                     &log});
@@ -269,6 +270,51 @@ TEST(TreeWaveEdges, MidTreePruneStillYieldsTheRootResult) {
     EXPECT_NE(child, pruned);
     EXPECT_NE(child, cached);
   }
+}
+
+TEST(TreeWaveEdges, EdgeIsAskedOncePerChildOfEveryReachedNode) {
+  sim::Network net = make_counting_network(net::make_grid(6, 6));
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  // Stop the wave at one interior node (prune) and one of the root's edges
+  // (cache): nodes below either are never reached, so never asked about.
+  NodeId mid = 0;
+  for (NodeId u = 0; u < tree.node_count(); ++u) {
+    if (tree.depth[u] == 2 && !tree.children[u].empty()) {
+      mid = u;
+      break;
+    }
+  }
+  ASSERT_NE(mid, 0u);
+  const NodeId cached = tree.children[tree.root].back();
+  ASSERT_NE(tree.parent[mid], cached);
+  EdgeLog log;
+  EdgeLog asked;
+  TreeWave<SumAgg, ScriptedEdges> wave(
+      tree, 1, raw_item_view(), {},
+      ScriptedEdges{{{mid, EdgeAction::kPrune}, {cached, EdgeAction::kCached}},
+                    0,
+                    &log,
+                    &asked});
+  wave.execute(net, {Predicate::always_true()});
+
+  // A node is reached unless the wave stopped at it or above it.
+  const auto reached = [&](NodeId v) {
+    for (; v != tree.root; v = tree.parent[v]) {
+      if (v == mid || v == cached) return false;
+    }
+    return true;
+  };
+  EdgeLog expected;
+  for (NodeId u = 0; u < tree.node_count(); ++u) {
+    if (!reached(u)) continue;
+    for (const NodeId c : tree.children[u]) expected.emplace_back(u, c);
+  }
+  for (const auto& [node, child] : asked) {
+    EXPECT_EQ(tree.parent[child], node);
+  }
+  std::sort(asked.begin(), asked.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(asked, expected);
 }
 
 class WaveOverTopologies : public ::testing::TestWithParam<net::TopologyKind> {

@@ -25,7 +25,7 @@ class Cache {
   explicit Cache(std::size_t capacity = 1024)
       : net_(net::make_grid(2, 2), 7),
         tree_(net::bfs_tree(net_.graph(), 0)),
-        store_(net_, tree_, kBound, kDelta, kHorizon, capacity) {}
+        store_(net_, tree_, {kBound, kDelta, kHorizon}, capacity) {}
 
   void store(const query::RegionSignature& region, std::uint32_t epoch,
              const StatsBundle& bundle) {

@@ -52,7 +52,7 @@ struct Fixture {
   explicit Fixture(std::uint64_t seed = 7)
       : net(net::make_grid(8, 8), seed),
         tree(net::bfs_tree(net.graph(), 0)),
-        store(net, tree, kBound, kDelta, kHorizon) {
+        store(net, tree, {kBound, kDelta, kHorizon}) {
     ValueSet vs(64);
     for (NodeId u = 0; u < 64; ++u) {
       vs[u] = static_cast<Value>((u * 37) % 200);
@@ -196,7 +196,8 @@ TEST(RegionStore, PinnedRegionsOutliveRootOnlyChurn) {
   // Only root-only entries count against the capacity: a shared group's
   // entry keeps bracketing however many cube bundles come and go.
   Fixture f;
-  RegionStore small(f.net, f.tree, kBound, kDelta, kHorizon, /*capacity=*/1);
+  RegionStore small(f.net, f.tree, {kBound, kDelta, kHorizon},
+                    /*capacity=*/1);
   const query::RegionSignature pinned{30, 120, false};
   small.collect_stats(small.pin_stats(pinned), 1);
   const query::RegionSignature r1{1, 10, false};

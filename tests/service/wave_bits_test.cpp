@@ -19,6 +19,7 @@ namespace {
 constexpr Value kBound = 1000;
 constexpr Value kDelta = 4;
 constexpr std::uint32_t kHorizon = 8;
+const cube::DriftModel kDrift{kBound, kDelta, kHorizon};
 
 struct Totals {
   std::uint64_t bits = 0;
@@ -66,7 +67,7 @@ query::CostedPlan plan_for(const cube::Cube& c, const std::string& text) {
 
 TEST(WaveBits, SharedStatsCollectionFirstAndIncremental) {
   Grid f;
-  RegionStore store(f.net, f.tree, kBound, kDelta, kHorizon);
+  RegionStore store(f.net, f.tree, kDrift);
 
   const GroupId g = store.pin_stats({20, 150, false});
   store.collect_stats(g, 1);
@@ -85,7 +86,7 @@ TEST(WaveBits, CubeCellRefreshWithHllColdAndIncremental) {
   Grid f;
   cube::CubeConfig cfg;
   cfg.distinct_registers = 64;
-  cube::Cube c(f.net, f.tree, kBound, f.dirty, cfg);
+  cube::Cube c(f.net, f.tree, kDrift, f.dirty, cfg);
 
   const query::CostedPlan plan = plan_for(
       c, "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 0 AND 249 "
@@ -103,7 +104,7 @@ TEST(WaveBits, CubeCellRefreshWithHllColdAndIncremental) {
 
 TEST(WaveBits, CubePrunedResidueCollection) {
   Grid f;
-  cube::Cube c(f.net, f.tree, kBound, f.dirty, cube::CubeConfig{});
+  cube::Cube c(f.net, f.tree, kDrift, f.dirty, cube::CubeConfig{});
 
   // Refreshing the containing cell leaves per-edge partials that prove some
   // subtrees empty for any range inside it.
@@ -127,7 +128,7 @@ TEST(WaveBits, CubePrunedResidueCollection) {
   Grid h;
   cube::CubeConfig cfg;
   cfg.distinct_registers = 64;
-  cube::Cube hc(h.net, h.tree, kBound, h.dirty, cfg);
+  cube::Cube hc(h.net, h.tree, kDrift, h.dirty, cfg);
   hc.serve(plan_for(hc, "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN "
                         "125 AND 249 ERROR 0.15"),
            1);
