@@ -1,25 +1,19 @@
 #include "src/core/count_distinct.hpp"
 
-#include <algorithm>
-
 #include "src/proto/aggregations.hpp"
 #include "src/proto/tree_wave.hpp"
+#include "src/sim/comm_stats.hpp"
 
 namespace sensornet::core {
 
 namespace {
 
+/// The largest per-node payload traffic since `before`.
 std::uint64_t window_max_node_bits(const sim::Network& net,
                                    const std::vector<sim::NodeCommStats>& before) {
-  std::uint64_t best = 0;
-  for (NodeId u = 0; u < net.node_count(); ++u) {
-    const auto& now = net.stats(u);
-    const std::uint64_t bits =
-        (now.payload_bits_sent - before[u].payload_bits_sent) +
-        (now.payload_bits_received - before[u].payload_bits_received);
-    best = std::max(best, bits);
-  }
-  return best;
+  return sim::window_summary(before, net.all_stats(), /*rounds=*/0,
+                             /*include_headers=*/false)
+      .max_node_bits;
 }
 
 }  // namespace

@@ -43,7 +43,6 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
       drift_(drift),
       dirty_(dirty),
       config_(config),
-      hll_width_(0),
       next_residue_session_(kResidueSessionBase) {
   SENSORNET_EXPECTS(net.node_count() == tree.node_count());
   SENSORNET_EXPECTS(drift_.domain_bound >= 0);
@@ -53,11 +52,8 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
                     static_cast<std::uint64_t>(drift_.domain_bound) + 1);
   SENSORNET_EXPECTS(drift_.max_delta >= 0);
   SENSORNET_EXPECTS(drift_.horizon_epochs >= 1);
-  if (config_.distinct_registers > 0) {
-    hll_width_ = static_cast<std::uint8_t>(sketch::packed_width_for(
-        static_cast<std::uint64_t>(net.node_count()) + 1));
-    (void)spec_for({}).empty_hll();  // validates the geometry up front
-  }
+  // Validates the sketch geometry up front.
+  if (config_.distinct_registers > 0) (void)spec_for({}).empty_hll();
   const auto domain = static_cast<std::uint64_t>(drift_.domain_bound) + 1;
   for (unsigned level = 0; level < config_.levels; ++level) {
     for (unsigned index = 0; index < (1u << level); ++index) {
@@ -97,7 +93,7 @@ BundleSpec Cube::spec_for(const query::RegionSignature& region) const {
   spec.margin = drift_.margin();
   spec.domain_bound = drift_.domain_bound;
   spec.hll_registers = config_.distinct_registers;
-  spec.hll_width = hll_width_;
+  spec.hll_width = hll_width(tree_.node_count());
   return spec;
 }
 
@@ -215,7 +211,7 @@ void Cube::ensure_geometry_installed() {
   encode_uint(w, static_cast<std::uint64_t>(drift_.margin()));
   encode_uint(w, config_.distinct_registers);
   if (config_.distinct_registers > 0) {
-    encode_uint(w, hll_width_);
+    encode_uint(w, hll_width(tree_.node_count()));
     encode_uint(w, kHllSalt);
   }
   install.execute(net_, std::move(w));

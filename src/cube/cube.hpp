@@ -209,7 +209,6 @@ class Cube final : public query::CubeCatalog {
   DriftModel drift_;
   const DirtyTracker& dirty_;
   CubeConfig config_;
-  std::uint8_t hll_width_;  // packed rank width: the oracle's geometry
   bool geometry_installed_ = false;
   std::vector<MaintainedRegion> cells_;  // by cell_ordinal
   std::uint32_t next_residue_session_;

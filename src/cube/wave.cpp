@@ -1,10 +1,12 @@
 #include "src/cube/wave.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
 #include "src/obs/trace.hpp"
+#include "src/proto/aggregations.hpp"
 
 namespace sensornet::cube {
 
@@ -82,15 +84,17 @@ BundleSpec::Request BundleSpec::decode_request(BitReader& r) const {
 
 void BundleSpec::encode_partial(BitWriter& w, const Partial& p,
                                 const Request& req) const {
-  encode_bundle(w, p.bundle, req.region.whole_domain);
+  if (stats) encode_bundle(w, p.bundle, req.region.whole_domain);
   if (req.want_hll) p.hll->encode(w);
+  if (values) proto::encode_sorted_values(w, p.values, /*unique=*/true);
 }
 
 BundlePartial BundleSpec::decode_partial(BitReader& r,
                                          const Request& req) const {
   BundlePartial p;
-  p.bundle = decode_bundle(r, req.region.whole_domain);
+  if (stats) p.bundle = decode_bundle(r, req.region.whole_domain);
   if (req.want_hll) p.hll = sketch::Hll::decode(r).value();
+  if (values) p.values = proto::decode_sorted_values(r, /*unique=*/true);
   return p;
 }
 
@@ -98,22 +102,30 @@ BundlePartial BundleSpec::local(sim::Network& net, NodeId node,
                                 const Request& req,
                                 const proto::LocalItemView& /*view*/) const {
   BundlePartial p;
-  p.bundle = local_bundle(net, node, req.region, margin);
-  if (req.want_hll) {
-    p.hll = empty_hll();
-    for (const Value v : net.items(node)) {
-      if (v >= req.region.lo && v <= req.region.hi) {
-        p.hll->add(static_cast<std::uint64_t>(v), kHllSalt);
-      }
-    }
+  if (stats) p.bundle = local_bundle(net, node, req.region, margin);
+  if (req.want_hll) p.hll = empty_hll();
+  if (!req.want_hll && !values) return p;
+  const query::RegionSignature& r = req.region;
+  for (const Value v : net.items(node)) {
+    if (!r.whole_domain && (v < r.lo || v > r.hi)) continue;
+    if (p.hll) p.hll->add(static_cast<std::uint64_t>(v), kHllSalt);
+    if (values) p.values.push_back(v);
+  }
+  if (values) {
+    std::sort(p.values.begin(), p.values.end());
+    p.values.erase(std::unique(p.values.begin(), p.values.end()),
+                   p.values.end());
   }
   return p;
 }
 
 void BundleSpec::combine(Partial& acc, const Partial& in,
                          const Request& req) const {
-  acc.bundle.combine(in.bundle);
+  if (stats) acc.bundle.combine(in.bundle);
   if (req.want_hll) acc.hll->merge(*in.hll).value();
+  if (values) {
+    proto::merge_sorted_values(acc.values, in.values, /*unique=*/true);
+  }
 }
 
 // ---- bracket policy -------------------------------------------------------
@@ -143,8 +155,12 @@ proto::EdgeAction IncrementalEdges::edge(NodeId node, NodeId child,
                                          BundlePartial& acc) {
   const bool fresh = dirty.edge_fresh(child, store.epoch[child]);
   if (fresh) {
-    acc.bundle.combine(store.bundle[child]);
+    if (!store.bundle.empty()) acc.bundle.combine(store.bundle[child]);
     if (acc.hll) acc.hll->merge(*store.hll[child]).value();
+    if (!store.values.empty()) {
+      proto::merge_sorted_values(acc.values, store.values[child],
+                                 /*unique=*/true);
+    }
     ++skipped;
   } else {
     ++descended;
@@ -159,9 +175,10 @@ proto::EdgeAction IncrementalEdges::edge(NodeId node, NodeId child,
 
 void IncrementalEdges::collected(NodeId /*node*/, NodeId child,
                                  BundlePartial&& in) {
-  store.bundle[child] = in.bundle;
   store.epoch[child] = epoch;
+  if (!store.bundle.empty()) store.bundle[child] = in.bundle;
   if (in.hll) store.hll[child] = std::move(in.hll);
+  if (!store.values.empty()) store.values[child] = std::move(in.values);
 }
 
 void refresh(sim::Network& net, const net::SpanningTree& tree,
@@ -169,9 +186,11 @@ void refresh(sim::Network& net, const net::SpanningTree& tree,
              std::uint32_t session, std::uint32_t epoch, MaintainedRegion& m,
              std::uint64_t& descended, std::uint64_t& skipped) {
   if (m.edges.empty()) {
-    m.edges.bundle.resize(tree.node_count());
-    m.edges.epoch.assign(tree.node_count(), DirtyTracker::kInvalidEpoch);
-    if (spec.hll_registers > 0) m.edges.hll.resize(tree.node_count());
+    const std::size_t n = tree.node_count();
+    m.edges.epoch.assign(n, DirtyTracker::kInvalidEpoch);
+    if (spec.stats) m.edges.bundle.resize(n);
+    if (spec.hll_registers > 0) m.edges.hll.resize(n);
+    if (spec.values) m.edges.values.resize(n);
   }
   proto::TreeWave<BundleSpec, IncrementalEdges> wave(
       tree, session, proto::raw_item_view(), spec,

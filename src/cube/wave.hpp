@@ -1,25 +1,36 @@
-// The stats-bundle convergecast shared by the service's region store and the
+// The bundle convergecast shared by the service's region store and the
 // multiresolution cube, on proto::TreeWave.
 //
-// Every stats collection in the service ships the same partial: a
-// StatsBundle over a region with the drift margins, plus, for the cube's
-// COUNT_DISTINCT partials, an HLL sketch. BundleSpec is that wave's
-// AggregationSpec. Two request shapes ride it:
+// Every maintained collection in the service ships one partial, a
+// BundlePartial, and BundleSpec is that wave's AggregationSpec. The spec
+// says which parts the partial carries:
 //
-//   installed — a shared group or a cube cell, whose region and margin an
-//               install broadcast already put at every node: the request is
-//               a single bit;
+//   stats   — a StatsBundle over a region with the drift margins: shared
+//             stats groups, cube cells and residues;
+//   HLL     — a hashed sketch over the core region, when hll_registers > 0:
+//             the cube's COUNT_DISTINCT partials and approximate distinct
+//             groups, in the one-shot sketch geometry (hll_width, kHllSalt);
+//   values  — the core region's sorted distinct values, coded as
+//             proto::encode_sorted_values: exact distinct groups.
+//
+// Two request shapes ride it:
+//
+//   installed — a shared group or a cube cell, whose region, margin and
+//               parts an install broadcast already put at every node: the
+//               request is a single bit;
 //   one-shot  — a cube residue: the request carries the range and a
 //               want-HLL bit, and every node decodes the range it was sent.
 //
 // A MaintainedRegion is a region whose root partial is kept fresh across
-// epochs: a shared stats group or a cube cell (a cell is exactly a
-// maintained per-subtree partial). Its EdgeStore keeps, per tree edge, the
-// partial the child last sent up and the epoch it was taken at; refresh()
-// runs one incremental wave whose IncrementalEdges policy serves every edge
-// the dirty tracker certifies unchanged from that store, without a message.
+// epochs: every shared group of the region store (stats or distinct) and
+// every cube cell (a cell is exactly a maintained per-subtree partial). Its
+// EdgeStore keeps, per tree edge, the parts the child last sent up and the
+// epoch they were taken at; refresh() runs one incremental wave whose
+// IncrementalEdges policy serves every edge the dirty tracker certifies
+// unchanged from that store, without a message.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -37,10 +48,14 @@
 
 namespace sensornet::cube {
 
-/// The HLL partials' hash salt: a fresh approx-counting service issues its
-/// first (and, per query, only) wave with salt 1, so the cube's sketches use
-/// the same constant to reproduce its registers exactly.
+/// The HLL partials' geometry. A fresh approx-counting service issues its
+/// first (and, per query, only) wave with hash salt 1 and a packed register
+/// width for node_count + 1 ranks; the cube's and the region store's
+/// sketches use the same geometry, so they reproduce its registers exactly.
 constexpr std::uint64_t kHllSalt = 1;
+inline std::uint8_t hll_width(std::size_t node_count) {
+  return static_cast<std::uint8_t>(sketch::packed_width_for(node_count + 1));
+}
 
 /// Node-local bundle over `region` with inner/outer margins of `margin`.
 StatsBundle local_bundle(const sim::Network& net, NodeId node,
@@ -51,11 +66,11 @@ StatsBundle local_bundle(const sim::Network& net, NodeId node,
 void encode_bundle(BitWriter& w, const StatsBundle& b, bool whole_domain);
 StatsBundle decode_bundle(BitReader& r, bool whole_domain);
 
-/// The partial of a bundle wave: the bundle, plus the HLL sketch over the
-/// core region when the request asks for one.
+/// The partial of a bundle wave; only the parts its spec carries are set.
 struct BundlePartial {
   StatsBundle bundle;
-  std::optional<sketch::Hll> hll;
+  std::optional<sketch::Hll> hll;  // when the request wants one
+  ValueSet values;                 // sorted distinct values in the core
 };
 
 /// AggregationSpec of the bundle wave (see the file comment).
@@ -69,8 +84,11 @@ struct BundleSpec {
   query::RegionSignature region;  // the installed region, or the one-shot's
   Value margin = 0;
   Value domain_bound = 0;  // a decoded range is whole-domain iff [0, bound]
-  unsigned hll_registers = 0;  // HLL geometry; 0 = stats only
+  // The parts the partial carries (see the file comment).
+  bool stats = true;
+  unsigned hll_registers = 0;  // HLL geometry; 0 = no sketch
   std::uint8_t hll_width = 0;
+  bool values = false;
   bool installed = true;  // false: the request carries the range
 
   /// The request the root starts the wave with.
@@ -88,11 +106,13 @@ struct BundleSpec {
 };
 
 /// Parent-side partials per tree edge, indexed by the child end of the edge
-/// (every non-root node has exactly one parent edge). Empty until sized.
+/// (every non-root node has exactly one parent edge). Empty until sized;
+/// a part's vector is sized only when the region's partials carry it.
 struct EdgeStore {
   std::vector<StatsBundle> bundle;
   std::vector<std::uint32_t> epoch;  // DirtyTracker::kInvalidEpoch = none
-  std::vector<std::optional<sketch::Hll>> hll;  // sized only with HLL
+  std::vector<std::optional<sketch::Hll>> hll;
+  std::vector<ValueSet> values;
 
   bool empty() const { return epoch.empty(); }
 };
@@ -145,8 +165,8 @@ struct IncrementalEdges {
 };
 
 /// Brings `m` to `epoch` with one incremental wave of `spec` on `session`,
-/// sizing the edge store on the first refresh (HLL slots only when the spec
-/// has an HLL geometry). Edge outcomes are added to `descended`/`skipped`.
+/// sizing the edge store for the spec's parts on the first refresh. Edge
+/// outcomes are added to `descended`/`skipped`.
 void refresh(sim::Network& net, const net::SpanningTree& tree,
              const DirtyTracker& dirty, const BundleSpec& spec,
              std::uint32_t session, std::uint32_t epoch, MaintainedRegion& m,

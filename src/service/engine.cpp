@@ -227,11 +227,15 @@ Answer QueryService::serve(const LiveQuery& lq, bool collect) {
         a.exact = false;
       }
       ++telemetry_.cube_fresh_answers;
-    } else if (stats) {
-      bundle = store_.collect_stats(lq.group, epoch_);
     } else {
-      a.value = store_.collect_distinct(lq.group, epoch_);
-      a.exact = lq.plan.strategy == query::Strategy::kExactDistinct;
+      const cube::BundlePartial& p = store_.collect(lq.group, epoch_);
+      if (stats) {
+        bundle = p.bundle;
+      } else {
+        a.value = p.hll ? p.hll->estimate()
+                        : static_cast<double>(p.values.size());
+        a.exact = !p.hll;
+      }
     }
     if (bundle) {
       // A fresh core is exact: read as a whole-domain bundle at drift 0 it

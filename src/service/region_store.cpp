@@ -5,37 +5,10 @@
 
 #include "src/common/codec.hpp"
 #include "src/common/error.hpp"
-#include "src/core/count_distinct.hpp"
 #include "src/obs/trace.hpp"
-#include "src/proto/item_view.hpp"
 #include "src/proto/tree_broadcast.hpp"
 
 namespace sensornet::service {
-
-namespace {
-
-/// Distinct-group item filter: exposes only readings inside the group's
-/// region. A ranged region was installed at every node by the group's
-/// install broadcast, so this is node-local state, not root-side fiat.
-class RegionView final : public proto::LocalItemView {
- public:
-  explicit RegionView(const query::RegionSignature& region) : region_(region) {}
-
-  ValueSet items(sim::Network& net, NodeId node) const override {
-    ValueSet out;
-    for (const Value v : net.items(node)) {
-      if (region_.whole_domain || (v >= region_.lo && v <= region_.hi)) {
-        out.push_back(v);
-      }
-    }
-    return out;
-  }
-
- private:
-  query::RegionSignature region_;
-};
-
-}  // namespace
 
 RegionStore::RegionStore(sim::Network& net, const net::SpanningTree& tree,
                          const cube::DriftModel& drift, std::size_t capacity)
@@ -50,30 +23,35 @@ RegionStore::RegionStore(sim::Network& net, const net::SpanningTree& tree,
 
 // ---- shared groups --------------------------------------------------------
 
-GroupId RegionStore::add_group(const query::RegionSignature& region,
-                               Entry* stats, unsigned registers) {
-  Group& g = groups_.emplace_back();
-  g.session = next_session_++;
-  g.stats = stats;
-  g.region = region;
-  g.registers = registers;
-  if (!region.whole_domain) {
-    // Nodes must learn the region (and a stats group's margin) they
-    // aggregate over — paid once per group, amortized over every subscriber
-    // and epoch.
-    proto::TreeBroadcast install(
-        tree_, next_session_++,
-        [](sim::Network&, NodeId, BitReader) { /* region noted */ });
-    BitWriter w;
-    encode_uint(w, static_cast<std::uint64_t>(region.lo));
-    encode_uint(w, static_cast<std::uint64_t>(region.hi - region.lo));
-    if (stats != nullptr) {
-      encode_uint(w, static_cast<std::uint64_t>(drift_.margin()));
-    }
-    install.execute(net_, std::move(w));
-  }
+GroupId RegionStore::pin(Entry& e, const cube::BundleSpec& spec) {
+  e.state = cube::MaintainedRegion{};
+  e.state.region = spec.region;
+  e.group = static_cast<GroupId>(groups_.size());
+  groups_.push_back(Group{next_session_++, &e.state, spec});
   ++stats_.groups_created;
-  return static_cast<GroupId>(groups_.size() - 1);
+  // Nodes must learn what they aggregate: the range, and a stats group's
+  // margin or a distinct group's parts. Paid once per group, amortized over
+  // every subscriber and epoch; a whole-domain stats group needs nothing.
+  if (spec.stats && spec.region.whole_domain) return *e.group;
+  proto::TreeBroadcast install(
+      tree_, next_session_++,
+      [](sim::Network&, NodeId, BitReader) { /* group noted */ });
+  BitWriter w;
+  if (!spec.region.whole_domain) {
+    encode_uint(w, static_cast<std::uint64_t>(spec.region.lo));
+    encode_uint(w, static_cast<std::uint64_t>(spec.region.hi - spec.region.lo));
+  }
+  if (spec.stats) {
+    encode_uint(w, static_cast<std::uint64_t>(spec.margin));
+  } else {
+    encode_uint(w, spec.hll_registers);
+    if (spec.hll_registers > 0) {
+      encode_uint(w, spec.hll_width);
+      encode_uint(w, cube::kHllSalt);
+    }
+  }
+  install.execute(net_, std::move(w));
+  return *e.group;
 }
 
 GroupId RegionStore::pin_stats(const query::RegionSignature& region) {
@@ -82,21 +60,25 @@ GroupId RegionStore::pin_stats(const query::RegionSignature& region) {
   if (e.group) return *e.group;
   // A root-only entry for the region gives way to the maintained one.
   if (!inserted) --root_only_;
-  e.state = cube::MaintainedRegion{};
-  e.state.region = region;
-  e.group = add_group(region, &e, 0);
-  return *e.group;
+  cube::BundleSpec spec;
+  spec.region = region;
+  spec.margin = drift_.margin();
+  spec.domain_bound = drift_.domain_bound;
+  return pin(e, spec);
 }
 
 GroupId RegionStore::pin_distinct(const query::RegionSignature& region,
                                   unsigned registers) {
-  const auto key = std::make_pair(region, registers);
-  if (const auto it = distinct_index_.find(key); it != distinct_index_.end()) {
-    return it->second;
-  }
-  const GroupId id = add_group(region, nullptr, registers);
-  distinct_index_.emplace(key, id);
-  return id;
+  Entry& e = distinct_[{region, registers}];
+  if (e.group) return *e.group;
+  cube::BundleSpec spec;
+  spec.region = region;
+  spec.domain_bound = drift_.domain_bound;
+  spec.stats = false;
+  spec.hll_registers = registers;
+  spec.hll_width = cube::hll_width(tree_.node_count());
+  spec.values = registers == 0;
+  return pin(e, spec);
 }
 
 void RegionStore::note_updates(std::span<const NodeId> updated,
@@ -105,52 +87,28 @@ void RegionStore::note_updates(std::span<const NodeId> updated,
   stats_.mark_messages = dirty_.mark_messages();
 }
 
-void RegionStore::trace_wave(const char* name, GroupId group,
-                              std::uint32_t epoch, SimTime t0) const {
+const cube::BundlePartial& RegionStore::collect(GroupId group,
+                                                std::uint32_t epoch) {
+  SENSORNET_EXPECTS(group < groups_.size());
+  const Group& g = groups_[group];
+  cube::MaintainedRegion& m = *g.state;
+  if (m.epoch == epoch) return m.root;  // idempotent
+  const SimTime t0 = net_.now();
+  // The edge counters keep their stats-wave meaning: telemetry divides them
+  // by stats_waves.
+  std::uint64_t distinct_descended = 0;
+  std::uint64_t distinct_skipped = 0;
+  cube::refresh(net_, tree_, dirty_, g.spec, g.session, epoch, m,
+                g.spec.stats ? stats_.edges_descended : distinct_descended,
+                g.spec.stats ? stats_.edges_skipped : distinct_skipped);
+  ++(g.spec.stats ? stats_.stats_waves : stats_.distinct_waves);
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
-    ring.complete(name, "service", t0, net_.now() - t0, 0, "group", group,
-                  "epoch", epoch);
+    ring.complete(g.spec.stats ? "collect.stats" : "collect.distinct",
+                  "service", t0, net_.now() - t0, 0, "group", group, "epoch",
+                  epoch);
   }
-}
-
-const StatsBundle& RegionStore::collect_stats(GroupId group,
-                                              std::uint32_t epoch) {
-  SENSORNET_EXPECTS(group < groups_.size() && groups_[group].stats);
-  const Group& g = groups_[group];
-  cube::MaintainedRegion& m = g.stats->state;
-  if (m.epoch == epoch) return m.root.bundle;  // idempotent
-  const SimTime t0 = net_.now();
-  cube::BundleSpec spec;
-  spec.region = m.region;
-  spec.margin = drift_.margin();
-  spec.domain_bound = drift_.domain_bound;
-  cube::refresh(net_, tree_, dirty_, spec, g.session, epoch, m,
-                stats_.edges_descended, stats_.edges_skipped);
-  ++stats_.stats_waves;
-  trace_wave("collect.stats", group, epoch, t0);
-  return m.root.bundle;
-}
-
-double RegionStore::collect_distinct(GroupId group, std::uint32_t epoch) {
-  SENSORNET_EXPECTS(group < groups_.size() && !groups_[group].stats);
-  Group& g = groups_[group];
-  if (g.epoch == epoch) return g.estimate;
-  const RegionView view(g.region);
-  const SimTime t0 = net_.now();
-  if (g.registers == 0) {
-    g.estimate = static_cast<double>(
-        core::exact_count_distinct(net_, tree_, view).distinct);
-  } else {
-    g.estimate = core::approx_count_distinct(
-                     net_, tree_, g.registers,
-                     proto::EstimatorKind::kHyperLogLog, view)
-                     .estimate;
-  }
-  g.epoch = epoch;
-  ++stats_.distinct_waves;
-  trace_wave("collect.distinct", group, epoch, t0);
-  return g.estimate;
+  return m.root;
 }
 
 // ---- root-only entries ----------------------------------------------------

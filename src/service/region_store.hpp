@@ -1,33 +1,34 @@
 // The service's one store of maintained regions: shared aggregation and the
-// bounded-error result cache in one region-keyed map.
+// bounded-error result cache in one store of region-keyed entries.
 //
 // TAG/TinyDB lineage: continuous queries over the same region should ride
 // one spanning-tree aggregation, not re-run it per client. Every entry is a
-// cube::MaintainedRegion (region, per-edge partials, root bundle, epoch),
-// keyed by its region, of one of two kinds:
+// cube::MaintainedRegion (region, per-edge partials, root partial, epoch) of
+// one of two kinds:
 //
-//   pinned    — a shared stats group: COUNT/SUM/AVG/MIN/MAX subscribers of
-//               one region share one stats-bundle wave per epoch. The install
-//               broadcast is paid once, the per-edge partials are refreshed
-//               by cube::refresh, and the entry is never evicted.
+//   pinned    — a shared group. A stats group (keyed by its region) lets
+//               the COUNT/SUM/AVG/MIN/MAX subscribers of one region share
+//               one stats-bundle wave per epoch; a distinct group (keyed by
+//               region and registers) does the same for COUNT_DISTINCT with
+//               an HLL sketch or, for exact subscribers, the sorted distinct
+//               values. The install broadcast is paid once, collect()
+//               refreshes the per-edge partials with cube::refresh, and the
+//               entry is never evicted.
 //   root-only — a cube serve's composed bundle (no per-edge state). Only
 //               these count against the capacity; the stalest goes first.
-//
-// COUNT_DISTINCT groups keep their (region, registers) memo beside the map:
-// a set-union or HLL wave per epoch, nothing to bracket.
 //
 // Refreshes are incremental. Sensors that change push a coalesced 1-bit
 // dirty mark up the tree (cube::DirtyTracker, shared with the cube), and a
 // refresh descends only into subtrees that changed since the entry's
 // partial for that edge was taken. A quiescent network refreshes for free.
 //
-// Lookups bracket the entry itself (the PASS idea): under the drift model a
-// bundle frozen at epoch t still brackets the current aggregate at t + s
-// (cube::drift_bracket). A lookup serves when the bracket meets the query's
-// ERROR (cube::error_slack); without ERROR only a zero bound serves. At
-// staleness 0 that holds for whole-domain regions, but a ranged bracket
+// Lookups bracket a stats entry itself (the PASS idea): under the drift
+// model a bundle frozen at epoch t still brackets the current aggregate at
+// t + s (cube::drift_bracket). A lookup serves when the bracket meets the
+// query's ERROR (cube::error_slack); without ERROR only a zero bound serves.
+// At staleness 0 that holds for whole-domain regions, but a ranged bracket
 // still spans inner to outer margin, so exact ranged queries always collect.
-// Served answers cost zero bits.
+// Served answers cost zero bits. Distinct groups have nothing to bracket.
 //
 // The store assumes the service's deployment discipline: lossless links and
 // serial execution. A lost message leaves a wave without its root result,
@@ -72,8 +73,8 @@ struct CacheCounters {
 
 /// Wave telemetry — the sharing/incrementality story in numbers.
 struct SharedPlanStats {
-  std::uint64_t stats_waves = 0;       // stats-bundle refreshes executed
-  std::uint64_t distinct_waves = 0;    // distinct collections executed
+  std::uint64_t stats_waves = 0;       // stats-group refreshes executed
+  std::uint64_t distinct_waves = 0;    // distinct-group refreshes executed
   std::uint64_t edges_descended = 0;   // request messages sent by stats waves
   std::uint64_t edges_skipped = 0;     // child partials served from the store
   std::uint64_t mark_messages = 0;     // dirty-mark messages shipped
@@ -94,8 +95,12 @@ class RegionStore {
   /// group pays one install broadcast (nodes must learn the range and
   /// margin they aggregate over; those bits are metered like any others).
   GroupId pin_stats(const query::RegionSignature& region);
-  /// The distinct analogue; `registers` == 0 selects the exact set-union
-  /// wave, otherwise a hashed-HLL wave of that many registers.
+  /// The distinct group of (`region`, `registers`), pinned on first use:
+  /// `registers` == 0 keeps the sorted distinct values (exact), otherwise an
+  /// HLL sketch of that many registers in the one-shot geometry
+  /// (cube::hll_width, cube::kHllSalt). Its install broadcast, paid even
+  /// over the whole domain, carries the range when ranged and the register
+  /// count, plus the width and salt of a sketch.
   GroupId pin_distinct(const query::RegionSignature& region,
                        unsigned registers);
 
@@ -104,12 +109,11 @@ class RegionStore {
   /// updates are applied and before any refresh of the same epoch.
   void note_updates(std::span<const NodeId> updated, std::uint32_t epoch);
 
-  /// Brings a stats group to `epoch` with one incremental wave; idempotent
-  /// within an epoch (no bits). Returns the group's root bundle.
-  const StatsBundle& collect_stats(GroupId group, std::uint32_t epoch);
-  /// One distinct collection; idempotent within an epoch. Returns the
-  /// estimate (the exact count for register-less groups).
-  double collect_distinct(GroupId group, std::uint32_t epoch);
+  /// Brings a group to `epoch` with one incremental wave; idempotent within
+  /// an epoch (no bits). Returns the group's root partial: the stats bundle
+  /// of a stats group, the sketch or the sorted distinct values of a
+  /// distinct group.
+  const cube::BundlePartial& collect(GroupId group, std::uint32_t epoch);
 
   /// Holds a cube serve's composed bundle as a root-only entry. A pinned
   /// region or an entry already taken at `epoch` is kept as it is.
@@ -136,30 +140,24 @@ class RegionStore {
   const cube::DriftModel& drift() const { return drift_; }
   const CacheCounters& counters() const { return counters_; }
   const SharedPlanStats& stats() const { return stats_; }
-  std::size_t size() const { return regions_.size(); }
+  /// Entries held: pinned groups of either kind and root-only entries.
+  std::size_t size() const { return regions_.size() + distinct_.size(); }
 
  private:
   struct Entry {
     cube::MaintainedRegion state;
     std::optional<GroupId> group;  // set: pinned
   };
-  /// One shared group: a pinned stats entry or a distinct memo.
+  /// One shared group: its pinned entry and the parts its partial carries.
   struct Group {
     std::uint32_t session = 0;
-    Entry* stats = nullptr;  // the pinned entry; null for distinct groups
-    query::RegionSignature region;
-    unsigned registers = 0;  // distinct: 0 = exact union wave
-    std::uint32_t epoch = cube::DirtyTracker::kInvalidEpoch;  // distinct
-    double estimate = 0.0;  // distinct
+    cube::MaintainedRegion* state = nullptr;
+    cube::BundleSpec spec;
   };
 
-  /// Registers a group under a fresh session and pays its install
-  /// broadcast; `stats` is the pinned entry of a stats group, else null.
-  GroupId add_group(const query::RegionSignature& region, Entry* stats,
-                    unsigned registers);
-  /// Traces a group's wave since `t0`.
-  void trace_wave(const char* name, GroupId group, std::uint32_t epoch,
-                   SimTime t0) const;
+  /// Pins `e` as a group of `spec` under a fresh session and pays its
+  /// install broadcast.
+  GroupId pin(Entry& e, const cube::BundleSpec& spec);
   std::optional<cube::BracketedAnswer> check(
       const query::RegionSignature& region, query::AggregateKind agg,
       std::optional<double> epsilon, std::uint32_t now_epoch,
@@ -172,9 +170,8 @@ class RegionStore {
   cube::DirtyTracker dirty_;
   std::map<query::RegionSignature, Entry> regions_;
   std::size_t root_only_ = 0;
+  std::map<std::pair<query::RegionSignature, unsigned>, Entry> distinct_;
   std::vector<Group> groups_;
-  std::map<std::pair<query::RegionSignature, unsigned>, GroupId>
-      distinct_index_;
   std::uint32_t next_session_ = 0x7000;
   SharedPlanStats stats_;
   // Outcome telemetry is observability, not state: const lookups may count.

@@ -7,7 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "src/core/count_distinct.hpp"
 #include "src/net/topology.hpp"
+#include "src/proto/item_view.hpp"
+#include "src/query/planner.hpp"
 
 namespace sensornet::service {
 namespace {
@@ -595,6 +598,112 @@ TEST(QueryService, CubeServesDistinctFromMaintainedSketches) {
   ASSERT_TRUE(na.ok());
   EXPECT_DOUBLE_EQ(ca.value().answer->value, na.value().answer->value);
   EXPECT_EQ(c.svc.telemetry().cube_fresh_answers, 1u);
+}
+
+/// The one-shot oracle's view of a ranged COUNT_DISTINCT: only in-range
+/// readings.
+class RegionView final : public proto::LocalItemView {
+ public:
+  RegionView(Value lo, Value hi) : lo_(lo), hi_(hi) {}
+  ValueSet items(sim::Network& net, NodeId node) const override {
+    ValueSet out;
+    for (const Value v : net.items(node)) {
+      if (v >= lo_ && v <= hi_) out.push_back(v);
+    }
+    return out;
+  }
+
+ private:
+  Value lo_;
+  Value hi_;
+};
+
+TEST(QueryService, DistinctGroupsRefreshIncrementallyThroughDrift) {
+  // Shared COUNT_DISTINCT groups over a patchily drifting 16x16 grid: each
+  // HLL answer is bit for bit the one-shot hashed wave's on a twin network,
+  // each exact answer the brute-force count, and after the first wave every
+  // epoch's refresh descends only into the drifted subtrees.
+  constexpr NodeId kNodes = 256;
+  sim::Network net(net::make_grid(16, 16), 3);
+  const net::SpanningTree tree = net::bfs_tree(net.graph(), 0);
+  sim::Network twin(net::make_grid(16, 16), 3);
+  const net::SpanningTree twin_tree = net::bfs_tree(twin.graph(), 0);
+  std::vector<Value> mirror(kNodes);
+  for (NodeId u = 0; u < kNodes; ++u) {
+    mirror[u] = static_cast<Value>((u * 37) % 300);
+  }
+  net.set_one_item_per_node(mirror);
+  QueryService svc(query::Deployment{net, tree, kBound}, ServiceConfig{});
+
+  struct Group {
+    std::string text;
+    Value lo, hi;
+    bool approx;
+    QueryId id = 0;
+    std::uint64_t spent = 0;       // the query's bits so far
+    std::uint64_t first_wave = 0;  // bits of its group's first wave
+  };
+  std::vector<Group> groups = {
+      {"SELECT COUNT_DISTINCT(v) FROM s EVERY 1 EPOCHS ERROR 0.1", 0, kBound,
+       true},
+      {"SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 50 AND 200 "
+       "EVERY 1 EPOCHS ERROR 0.1",
+       50, 200, true},
+      {"SELECT COUNT_DISTINCT(v) FROM s EVERY 1 EPOCHS", 0, kBound, false},
+      {"SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 50 AND 200 "
+       "EVERY 1 EPOCHS",
+       50, 200, false},
+  };
+  for (Group& g : groups) g.id = svc.submit(g.text).value().id;
+
+  for (std::uint32_t e = 1; e <= 12; ++e) {
+    std::vector<SensorUpdate> batch;
+    for (NodeId u = e % 23; u < kNodes; u += 23) {
+      mirror[u] = std::clamp<Value>(mirror[u] + ((u + e) % 2 ? 4 : -3), 0,
+                                    kBound);
+      batch.push_back(SensorUpdate{u, mirror[u]});
+    }
+    const std::vector<Answer> answers = svc.run_epoch(batch);
+    ASSERT_EQ(answers.size(), groups.size());
+    twin.set_one_item_per_node(mirror);
+    const TelemetrySnapshot snap = svc.telemetry_snapshot();
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      Group& g = groups[i];
+      const Answer& a = answers[i];
+      ASSERT_EQ(a.id, g.id);
+      const RegionView view(g.lo, g.hi);
+      if (g.approx) {
+        EXPECT_FALSE(a.exact);
+        EXPECT_EQ(a.value, core::approx_count_distinct(
+                               twin, twin_tree,
+                               query::registers_for_error(0.1),
+                               proto::EstimatorKind::kHyperLogLog, view)
+                               .estimate)
+            << g.text << " at epoch " << e;
+      } else {
+        EXPECT_TRUE(a.exact);
+        std::vector<Value> seen;
+        for (const Value v : mirror) {
+          if (v >= g.lo && v <= g.hi &&
+              std::find(seen.begin(), seen.end(), v) == seen.end()) {
+            seen.push_back(v);
+          }
+        }
+        EXPECT_EQ(a.value, static_cast<double>(seen.size()))
+            << g.text << " at epoch " << e;
+      }
+      // One subscriber per group: the query's bits are its group's waves.
+      const std::uint64_t spent = snap.queries.at(g.id).bits_on_air;
+      const std::uint64_t wave = spent - g.spent;
+      g.spent = spent;
+      if (e == 1) {
+        g.first_wave = wave;
+      } else {
+        EXPECT_LT(wave, g.first_wave) << g.text << " at epoch " << e;
+      }
+    }
+  }
+  EXPECT_EQ(svc.plan_stats().distinct_waves, 12u * groups.size());
 }
 
 TEST(QueryService, CubeAnswersARangedCountOnADeepLineTree) {

@@ -1,5 +1,5 @@
-// The region store's shared groups: pinned entries refreshed by incremental
-// waves, distinct memos, and pinned entries' exemption from eviction.
+// The region store's shared groups: pinned entries, stats and distinct alike,
+// refreshed by incremental waves, and their exemption from eviction.
 #include "src/service/region_store.hpp"
 
 #include <gtest/gtest.h>
@@ -82,7 +82,7 @@ TEST(RegionStore, CollectionMatchesDirectComputation) {
        {query::RegionSignature{0, kBound, true},
         query::RegionSignature{30, 120, false}}) {
     const GroupId g = f.store.pin_stats(region);
-    EXPECT_EQ(f.store.collect_stats(g, 0), direct_bundle(f.net, region));
+    EXPECT_EQ(f.store.collect(g, 0).bundle, direct_bundle(f.net, region));
   }
 }
 
@@ -90,9 +90,9 @@ TEST(RegionStore, CollectIsIdempotentWithinEpoch) {
   Fixture f;
   const GroupId g =
       f.store.pin_stats(query::RegionSignature{0, kBound, true});
-  f.store.collect_stats(g, 0);
+  f.store.collect(g, 0);
   const auto msgs = f.net.summary().total_messages;
-  f.store.collect_stats(g, 0);
+  f.store.collect(g, 0);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
   EXPECT_EQ(f.store.stats().stats_waves, 1u);
 }
@@ -101,11 +101,11 @@ TEST(RegionStore, QuiescentRecollectionIsFree) {
   Fixture f;
   const GroupId g =
       f.store.pin_stats(query::RegionSignature{0, kBound, true});
-  const StatsBundle first = f.store.collect_stats(g, 0);
+  const StatsBundle first = f.store.collect(g, 0).bundle;
   // Nothing changed: the next epoch's collection is answered entirely from
   // the parent-side partials — zero messages on the air.
   const auto msgs = f.net.summary().total_messages;
-  const StatsBundle second = f.store.collect_stats(g, 1);
+  const StatsBundle second = f.store.collect(g, 1).bundle;
   EXPECT_EQ(second, first);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
 }
@@ -114,7 +114,7 @@ TEST(RegionStore, IncrementalCollectionDescendsOnlyDirtySubtrees) {
   Fixture f;
   const query::RegionSignature whole{0, kBound, true};
   const GroupId g = f.store.pin_stats(whole);
-  f.store.collect_stats(g, 0);
+  f.store.collect(g, 0);
   const auto full_descents = f.store.stats().edges_descended;
   EXPECT_EQ(full_descents, 63u);  // first collection visits every edge
 
@@ -124,7 +124,7 @@ TEST(RegionStore, IncrementalCollectionDescendsOnlyDirtySubtrees) {
   f.net.update_item(changed, 0, f.net.items(changed)[0] + kDelta);
   const std::vector<NodeId> touched{changed};
   f.store.note_updates(touched, 1);
-  const StatsBundle b = f.store.collect_stats(g, 1);
+  const StatsBundle b = f.store.collect(g, 1).bundle;
   EXPECT_EQ(b, direct_bundle(f.net, whole));
   // Exactly the changed node's root path is re-requested: one edge per
   // level, every other subtree served from the parent-side partials.
@@ -171,13 +171,32 @@ TEST(RegionStore, DistinctCollectionsAnswerOverTheRegion) {
     }
     expected = seen.size();
   }
-  EXPECT_DOUBLE_EQ(f.store.collect_distinct(g, 0),
+  EXPECT_DOUBLE_EQ(static_cast<double>(f.store.collect(g, 0).values.size()),
                    static_cast<double>(expected));
   // Idempotent within the epoch.
   const auto msgs = f.net.summary().total_messages;
-  f.store.collect_distinct(g, 0);
+  f.store.collect(g, 0);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
   EXPECT_EQ(f.store.stats().distinct_waves, 1u);
+}
+
+TEST(RegionStore, QuiescentDistinctRefreshIsFree) {
+  Fixture f;
+  for (const query::RegionSignature region :
+       {query::RegionSignature{0, kBound, true},
+        query::RegionSignature{30, 120, false}}) {
+    const GroupId hll = f.store.pin_distinct(region, 64);
+    const GroupId exact = f.store.pin_distinct(region, 0);
+    const double estimate = f.store.collect(hll, 0).hll->estimate();
+    const ValueSet values = f.store.collect(exact, 0).values;
+    // Nothing changed: both groups refresh from their per-edge partials
+    // alone, with zero messages on the air.
+    const auto msgs = f.net.summary().total_messages;
+    EXPECT_EQ(f.store.collect(hll, 1).hll->estimate(), estimate);
+    EXPECT_EQ(f.store.collect(exact, 1).values, values);
+    EXPECT_EQ(f.net.summary().total_messages, msgs);
+  }
+  EXPECT_EQ(f.store.stats().distinct_waves, 8u);
 }
 
 /// Bundle for a ranged region [lo, hi] with margin M over explicit values.
@@ -199,7 +218,7 @@ TEST(RegionStore, PinnedRegionsOutliveRootOnlyChurn) {
   RegionStore small(f.net, f.tree, {kBound, kDelta, kHorizon},
                     /*capacity=*/1);
   const query::RegionSignature pinned{30, 120, false};
-  small.collect_stats(small.pin_stats(pinned), 1);
+  small.collect(small.pin_stats(pinned), 1);
   const query::RegionSignature r1{1, 10, false};
   const query::RegionSignature r2{2, 20, false};
   const query::RegionSignature r3{3, 30, false};

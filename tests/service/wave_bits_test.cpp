@@ -1,5 +1,5 @@
 // Pins the bits on air of the incremental convergecasts: the region store's
-// shared stats collections and the cube's cell refreshes and residue
+// shared stats and distinct groups and the cube's cell refreshes and residue
 // collections. Every figure is an integer total from net.summary(); HLL
 // estimates are never compared, so the pins do not depend on libm.
 #include <gtest/gtest.h>
@@ -70,7 +70,7 @@ TEST(WaveBits, SharedStatsCollectionFirstAndIncremental) {
   RegionStore store(f.net, f.tree, kDrift);
 
   const GroupId g = store.pin_stats({20, 150, false});
-  store.collect_stats(g, 1);
+  store.collect(g, 1);
   EXPECT_EQ(totals(f.net), (Totals{8482, 189}));
 
   const std::vector<NodeId> touched{63, 40, 9};
@@ -78,8 +78,42 @@ TEST(WaveBits, SharedStatsCollectionFirstAndIncremental) {
     f.net.update_item(u, 0, f.net.items(u)[0] + 3);
   }
   store.note_updates(touched, 2);
-  store.collect_stats(g, 2);
+  store.collect(g, 2);
   EXPECT_EQ(totals(f.net), (Totals{10756, 249}));
+}
+
+/// Running totals of a distinct group's life on a fresh grid: after its
+/// install, its first refresh, and an incremental refresh after three nodes
+/// drift.
+std::vector<Totals> distinct_group_totals(
+    const query::RegionSignature& region, unsigned registers) {
+  Grid f;
+  RegionStore store(f.net, f.tree, kDrift);
+  std::vector<Totals> out;
+  const GroupId g = store.pin_distinct(region, registers);
+  out.push_back(totals(f.net));
+  store.collect(g, 1);
+  out.push_back(totals(f.net));
+  const std::vector<NodeId> touched{63, 40, 9};
+  for (const NodeId u : touched) {
+    f.net.update_item(u, 0, f.net.items(u)[0] + 3);
+  }
+  store.note_updates(touched, 2);
+  store.collect(g, 2);
+  out.push_back(totals(f.net));
+  return out;
+}
+
+TEST(WaveBits, HllDistinctGroupInstallFirstAndIncremental) {
+  // Whole domain: the install carries the sketch geometry alone.
+  EXPECT_EQ(distinct_group_totals({0, kBound, true}, 64),
+            (std::vector<Totals>{{1260, 63}, {7012, 189}, {9902, 249}}));
+}
+
+TEST(WaveBits, ExactDistinctGroupInstallFirstAndIncremental) {
+  // Ranged: the install carries the range and a zero register count.
+  EXPECT_EQ(distinct_group_totals({20, 150, false}, 0),
+            (std::vector<Totals>{{1512, 63}, {4078, 189}, {5408, 249}}));
 }
 
 TEST(WaveBits, CubeCellRefreshWithHllColdAndIncremental) {
