@@ -154,6 +154,12 @@ ScenarioResult run_cube_scenario(unsigned threads) {
   run.total_bits = net.summary(true).total_bits;
   run.cache_hits = svc.telemetry().cache_hits;
   run.cube_fresh_answers = svc.telemetry().cube_fresh_answers;
+  // The service's answer totals are the counts the store and the cube keep.
+  const TelemetrySnapshot snap = svc.telemetry_snapshot();
+  EXPECT_EQ(svc.telemetry().cache_hits, snap.cache.hits);
+  EXPECT_EQ(svc.telemetry().cube_fresh_answers, snap.cube.fresh_serves);
+  EXPECT_EQ(svc.telemetry().cube_stale_answers, snap.cube.stale_serves);
+  EXPECT_EQ(snap.mark_messages, snap.plan.mark_messages);
   return run;
 }
 
