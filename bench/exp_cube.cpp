@@ -38,7 +38,6 @@
 //   --threads  submit_batch farm workers; 0 = hardware concurrency
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -53,6 +52,7 @@
 #include "src/net/topology.hpp"
 #include "src/service/engine.hpp"
 #include "src/sim/network.hpp"
+#include "util/lane.hpp"
 
 namespace sensornet::bench {
 namespace {
@@ -61,8 +61,6 @@ using service::Answer;
 using service::QueryService;
 using service::SensorUpdate;
 using service::ServiceConfig;
-
-constexpr Value kBound = 1000;
 
 struct Scale {
   unsigned grid_side;    // cached-range deployment is side x side
@@ -75,36 +73,9 @@ struct Scale {
 constexpr Scale kFull = {24, 32, 16, 16, 10};
 constexpr Scale kQuick = {12, 10, 10, 10, 6};
 
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix_bytes(&v, sizeof v); }
-  void mix_answer(const Answer& a) {
-    mix_u64(a.id);
-    mix_u64(a.epoch);
-    mix_u64(std::bit_cast<std::uint64_t>(a.value));
-    mix_u64(std::bit_cast<std::uint64_t>(a.error_bound));
-    mix_u64((a.exact ? 1u : 0u) | (a.from_cache ? 2u : 0u) |
-            (a.empty_selection ? 4u : 0u));
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Cached-range lane.
 // ---------------------------------------------------------------------------
-struct ContinuousSpec {
-  query::AggregateKind agg;
-  Value lo, hi;  // region (0..kBound == whole domain)
-  unsigned every;
-  double error;  // 0 = exact subscriber (byte-compared against the oracle)
-};
-
 /// Whole-domain and dyadic-aligned regions dominate — the cube's home turf —
 /// with two unaligned stragglers so residue collection stays on the path.
 std::vector<ContinuousSpec> continuous_specs() {
@@ -129,46 +100,6 @@ std::vector<ContinuousSpec> continuous_specs() {
       {AggregateKind::kSum, 100, 580, 4, 0.2},
       {AggregateKind::kCount, 730, 900, 4, 0.2},
   };
-}
-
-std::string spec_text(const ContinuousSpec& s) {
-  using query::AggregateKind;
-  std::ostringstream os;
-  os << "SELECT ";
-  switch (s.agg) {
-    case AggregateKind::kCount: os << "COUNT"; break;
-    case AggregateKind::kSum: os << "SUM"; break;
-    case AggregateKind::kAvg: os << "AVG"; break;
-    case AggregateKind::kMin: os << "MIN"; break;
-    case AggregateKind::kMax: os << "MAX"; break;
-    default: os << "COUNT"; break;
-  }
-  os << "(v) FROM s";
-  if (s.lo != 0 || s.hi != kBound) {
-    os << " WHERE v BETWEEN " << s.lo << " AND " << s.hi;
-  }
-  os << " EVERY " << s.every << " EPOCHS";
-  if (s.error > 0.0) os << " ERROR " << s.error;
-  return os.str();
-}
-
-double exact_over(const std::vector<Value>& mirror, const ContinuousSpec& s,
-                  bool& empty) {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  for (Value v : mirror) {
-    if (v < s.lo || v > s.hi) continue;
-    ++count;
-    sum += v;
-  }
-  empty = count == 0;
-  switch (s.agg) {
-    case query::AggregateKind::kCount: return static_cast<double>(count);
-    case query::AggregateKind::kSum: return static_cast<double>(sum);
-    case query::AggregateKind::kAvg:
-      return empty ? 0.0 : static_cast<double>(sum) / count;
-    default: return 0.0;
-  }
 }
 
 struct LaneRun {
@@ -201,34 +132,12 @@ LaneRun run_cached_lane(const Scale& s, unsigned threads, bool with_cube) {
   QueryService svc(query::Deployment{net, tree, kBound}, cfg);
 
   const std::vector<ContinuousSpec> specs = continuous_specs();
-  std::vector<std::string> texts;
-  texts.reserve(specs.size());
-  for (const auto& spec : specs) texts.push_back(spec_text(spec));
-
   Fnv1a sum;
   LaneRun lane;
-  std::vector<service::QueryId> ids;
-  for (const auto& r : svc.submit_batch(texts)) {
-    if (!r.ok()) {
-      std::cerr << "FATAL: cached-range admission failed: " << r.error()
-                << "\n";
-      std::exit(1);
-    }
-    ids.push_back(r.value().id);
-    sum.mix_u64(r.value().id);
-  }
+  const std::vector<service::QueryId> ids = admit_specs(svc, specs, sum);
 
   for (std::uint32_t e = 1; e <= s.epochs; ++e) {
-    // A quarter of the deployment drifts each epoch: incremental refresh
-    // always has clean subtrees to skip, but never goes fully quiescent.
-    std::vector<SensorUpdate> batch;
-    for (NodeId u = e % 4; u < n; u += 4) {
-      const Value delta = (u + e) % 2 == 0 ? 3 : -3;
-      const Value v = std::clamp<Value>(mirror[u] + delta, 0, kBound);
-      mirror[u] = v;
-      batch.push_back(SensorUpdate{u, v});
-    }
-    for (const Answer& a : svc.run_epoch(batch)) {
+    for (const Answer& a : svc.run_epoch(quarter_drift(mirror, e))) {
       sum.mix_answer(a);
       const ContinuousSpec& spec = specs[a.id - ids.front()];
       // Deterministic-bound soundness applies to the cube run only: in
@@ -237,14 +146,7 @@ LaneRun run_cached_lane(const Scale& s, unsigned threads, bool with_cube) {
       if (with_cube && spec.error > 0.0) {
         // Tolerant answers: the deterministic bound must contain the truth.
         ++lane.bound_checked;
-        bool empty = false;
-        const double truth = exact_over(mirror, spec, empty);
-        if (!empty && std::abs(a.value - truth) > a.error_bound + 1e-9) {
-          ++lane.bound_violations;
-          std::cerr << "bound violation: id=" << a.id << " epoch=" << e
-                    << " value=" << a.value << " truth=" << truth
-                    << " bound=" << a.error_bound << "\n";
-        }
+        lane.bound_violations += violates_bound(mirror, spec, a);
       }
       lane.answers.push_back(a);
     }
@@ -446,11 +348,6 @@ DistinctLane run_distinct_lane(const Scale& s, unsigned threads) {
 // ---------------------------------------------------------------------------
 // Report.
 // ---------------------------------------------------------------------------
-struct DeterminismRow {
-  unsigned threads = 0;
-  std::uint64_t checksum = 0;
-};
-
 void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
                 const LaneRun& cube, const LaneRun& naive,
                 std::uint64_t oracle_mismatches,
@@ -461,10 +358,6 @@ void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
       cube.total_bits > 0
           ? static_cast<double>(naive.total_bits) / cube.total_bits
           : 0.0;
-  bool deterministic = true;
-  for (const auto& row : det) {
-    deterministic = deterministic && row.checksum == det.front().checksum;
-  }
   const std::uint64_t sweep_mismatches = [&] {
     std::uint64_t m = 0;
     for (const auto& r : sweep) m += r.mismatches;
@@ -533,15 +426,9 @@ void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
      << "    \"mismatches\": " << distinct.mismatches << ",\n"
      << "    \"bits_cube\": " << distinct.cube_bits << ",\n"
      << "    \"bits_tree\": " << distinct.tree_bits << "\n"
-     << "  },\n"
-     << "  \"determinism\": [\n";
-  for (std::size_t i = 0; i < det.size(); ++i) {
-    os << "    {\"threads\": " << det[i].threads << ", \"checksum\": \""
-       << std::hex << det[i].checksum << std::dec << "\"}"
-       << (i + 1 < det.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"summary\": {\n"
+     << "  },\n";
+  write_determinism(os, det);
+  os << "  \"summary\": {\n"
      << "    \"bits_ratio\": " << std::setprecision(3) << std::fixed << ratio
      << ",\n"
      << "    \"bits_target\": 5.0,\n"
@@ -554,7 +441,7 @@ void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
      << "    \"bounds_sound\": "
      << (cube.bound_violations == 0 ? "true" : "false") << ",\n"
      << "    \"deterministic_across_thread_counts\": "
-     << (deterministic ? "true" : "false") << "\n"
+     << (deterministic(det) ? "true" : "false") << "\n"
      << "  }\n}\n";
 }
 
@@ -564,26 +451,13 @@ void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
 int main(int argc, char** argv) {
   using namespace sensornet::bench;
   using sensornet::Value;
-  bool quick = false;
-  std::string out_path = "BENCH_PR10.json";
-  unsigned threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else {
-      std::cerr << "usage: exp_cube [--quick] [--out PATH] [--threads N]\n";
-      return 2;
-    }
-  }
-  const Scale& s = quick ? kQuick : kFull;
-  const unsigned resolved = sensornet::resolve_thread_count(threads);
+  const LaneCli cli =
+      parse_cli(argc, argv, "BENCH_PR10.json", /*with_trace=*/false,
+                "usage: exp_cube [--quick] [--out PATH] [--threads N]\n");
+  const Scale& s = cli.quick ? kQuick : kFull;
+  const unsigned resolved = sensornet::resolve_thread_count(cli.threads);
 
-  std::cout << "EXP multiresolution cube (" << (quick ? "quick" : "full")
+  std::cout << "EXP multiresolution cube (" << (cli.quick ? "quick" : "full")
             << ", " << resolved << " worker(s))\n";
 
   std::cout << "## cached-range bits (" << s.grid_side * s.grid_side
@@ -630,24 +504,19 @@ int main(int argc, char** argv) {
             << distinct.mismatches << " mismatch(es)\n";
 
   std::cout << "## determinism across farm workers\n";
-  std::vector<DeterminismRow> det;
-  for (const unsigned t : {1u, 2u, 8u}) {
-    const LaneRun r = t == resolved
-                          ? cube
-                          : run_cached_lane(s, t, /*with_cube=*/true);
-    det.push_back({t, r.checksum});
-    std::cout << "  threads=" << t << " checksum=" << std::hex << r.checksum
-              << std::dec << "\n";
-  }
+  const std::vector<DeterminismRow> det =
+      determinism_rows({1, 2, 8}, resolved, cube.checksum, [&](unsigned t) {
+        return run_cached_lane(s, t, /*with_cube=*/true).checksum;
+      });
 
-  std::ofstream out(out_path);
+  std::ofstream out(cli.out);
   if (!out) {
-    std::cerr << "cannot open " << out_path << " for writing\n";
+    std::cerr << "cannot open " << cli.out << " for writing\n";
     return 1;
   }
-  write_json(out, s, quick, resolved, cube, naive, oracle_mismatches, sweep,
+  write_json(out, s, cli.quick, resolved, cube, naive, oracle_mismatches, sweep,
              distinct, det);
-  std::cout << "wrote " << out_path << "\n";
+  std::cout << "wrote " << cli.out << "\n";
 
   std::uint64_t sweep_mismatches = 0;
   for (const auto& r : sweep) sweep_mismatches += r.mismatches;
@@ -666,12 +535,10 @@ int main(int argc, char** argv) {
               << naive.total_bits << " tree — the 5x claim does not hold\n";
     return 1;
   }
-  for (const auto& row : det) {
-    if (row.checksum != det.front().checksum) {
-      std::cerr << "FATAL: answer-stream checksum diverged at " << row.threads
-                << " workers\n";
-      return 1;
-    }
+  if (!deterministic(det)) {
+    std::cerr << "FATAL: answer-stream checksum diverged across worker "
+                 "counts\n";
+    return 1;
   }
   return 0;
 }

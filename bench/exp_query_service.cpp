@@ -42,9 +42,7 @@
 //   --threads  submit_batch farm workers; 0 = hardware concurrency
 //   --trace    export a Chrome trace of a small shared run to PATH
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -60,6 +58,7 @@
 #include "src/obs/trace.hpp"
 #include "src/service/engine.hpp"
 #include "src/sim/network.hpp"
+#include "util/lane.hpp"
 
 namespace sensornet::bench {
 namespace {
@@ -68,8 +67,6 @@ using service::Answer;
 using service::QueryService;
 using service::SensorUpdate;
 using service::ServiceConfig;
-
-constexpr Value kBound = 1000;
 
 struct Scale {
   unsigned grid_side;        // shared-vs-naive deployment is side x side
@@ -82,39 +79,8 @@ constexpr Scale kFull = {32, 32, 24, 40};
 constexpr Scale kQuick = {16, 12, 12, 8};
 
 // ---------------------------------------------------------------------------
-// Answer-stream checksum (determinism lane).
-// ---------------------------------------------------------------------------
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix_bytes(&v, sizeof v); }
-  void mix_answer(const Answer& a) {
-    mix_u64(a.id);
-    mix_u64(a.epoch);
-    mix_u64(std::bit_cast<std::uint64_t>(a.value));
-    mix_u64(std::bit_cast<std::uint64_t>(a.error_bound));
-    mix_u64((a.exact ? 1u : 0u) | (a.from_cache ? 2u : 0u) |
-            (a.empty_selection ? 4u : 0u));
-  }
-  void mix_str(const std::string& s) { mix_bytes(s.data(), s.size()); }
-};
-
-// ---------------------------------------------------------------------------
 // Overlapping continuous-query lane.
 // ---------------------------------------------------------------------------
-struct ContinuousSpec {
-  query::AggregateKind agg;
-  Value lo, hi;       // region (0..kBound == whole domain)
-  unsigned every;
-  double error;       // 0 = exact subscriber
-};
-
 std::vector<ContinuousSpec> continuous_specs() {
   using query::AggregateKind;
   return {
@@ -140,52 +106,6 @@ std::vector<ContinuousSpec> continuous_specs() {
       {AggregateKind::kMax, 400, 900, 2, 0.05},
       {AggregateKind::kAvg, 400, 900, 2, 0.1},
   };
-}
-
-std::string spec_text(const ContinuousSpec& s) {
-  using query::AggregateKind;
-  std::ostringstream os;
-  os << "SELECT ";
-  switch (s.agg) {
-    case AggregateKind::kCount: os << "COUNT"; break;
-    case AggregateKind::kSum: os << "SUM"; break;
-    case AggregateKind::kAvg: os << "AVG"; break;
-    case AggregateKind::kMin: os << "MIN"; break;
-    case AggregateKind::kMax: os << "MAX"; break;
-    default: os << "COUNT"; break;
-  }
-  os << "(v) FROM s";
-  if (s.lo != 0 || s.hi != kBound) {
-    os << " WHERE v BETWEEN " << s.lo << " AND " << s.hi;
-  }
-  os << " EVERY " << s.every << " EPOCHS";
-  if (s.error > 0.0) os << " ERROR " << s.error;
-  return os.str();
-}
-
-/// Exact aggregate over the mirror, for lane-2 soundness checks.
-double exact_over(const std::vector<Value>& mirror, const ContinuousSpec& s,
-                  bool& empty) {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  Value mn = kBound, mx = 0;
-  for (Value v : mirror) {
-    if (v < s.lo || v > s.hi) continue;
-    ++count;
-    sum += v;
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-  }
-  empty = count == 0;
-  switch (s.agg) {
-    case query::AggregateKind::kCount: return static_cast<double>(count);
-    case query::AggregateKind::kSum: return static_cast<double>(sum);
-    case query::AggregateKind::kAvg:
-      return empty ? 0.0 : static_cast<double>(sum) / count;
-    case query::AggregateKind::kMin: return empty ? 0.0 : static_cast<double>(mn);
-    case query::AggregateKind::kMax: return empty ? 0.0 : static_cast<double>(mx);
-    default: return 0.0;
-  }
 }
 
 struct LaneResult {
@@ -222,49 +142,19 @@ LaneResult run_continuous_lane(const Scale& s, unsigned threads, bool shared) {
   QueryService svc(query::Deployment{net, tree, kBound}, cfg);
 
   const std::vector<ContinuousSpec> specs = continuous_specs();
-  std::vector<std::string> texts;
-  texts.reserve(specs.size());
-  for (const auto& spec : specs) texts.push_back(spec_text(spec));
-
   Fnv1a sum;
   LaneResult lane;
   // Admission order == spec order, so ids map back to specs by offset.
-  std::vector<service::QueryId> ids;
-  for (const auto& r : svc.submit_batch(texts)) {
-    if (!r.ok()) {
-      std::cerr << "FATAL: continuous-lane admission failed: " << r.error()
-                << "\n";
-      std::exit(1);
-    }
-    ids.push_back(r.value().id);
-    sum.mix_u64(r.value().id);
-  }
+  const std::vector<service::QueryId> ids = admit_specs(svc, specs, sum);
 
   for (std::uint32_t e = 1; e <= s.epochs; ++e) {
-    // Rotate through the deployment: a quarter of the nodes drift each
-    // epoch, so collections always have clean subtrees to skip.
-    std::vector<SensorUpdate> batch;
-    for (NodeId u = e % 4; u < n; u += 4) {
-      const Value delta = (u + e) % 2 == 0 ? 3 : -3;
-      const Value v = std::clamp<Value>(mirror[u] + delta, 0, kBound);
-      mirror[u] = v;
-      batch.push_back(SensorUpdate{u, v});
-    }
-    for (const Answer& a : svc.run_epoch(batch)) {
+    for (const Answer& a : svc.run_epoch(quarter_drift(mirror, e))) {
       sum.mix_answer(a);
       if (a.from_cache) {
         ++lane.cache_answers_checked;
-        const ContinuousSpec& spec =
-            specs[a.id - ids.front()];  // ids are contiguous per batch
-        bool empty = false;
-        const double truth = exact_over(mirror, spec, empty);
-        if (!empty &&
-            std::abs(a.value - truth) > a.error_bound + 1e-9) {
-          ++lane.bound_violations;
-          std::cerr << "bound violation: id=" << a.id << " epoch=" << e
-                    << " value=" << a.value << " truth=" << truth
-                    << " bound=" << a.error_bound << "\n";
-        }
+        // ids are contiguous per batch
+        lane.bound_violations +=
+            violates_bound(mirror, specs[a.id - ids.front()], a);
       }
     }
   }
@@ -366,11 +256,6 @@ ChurnResult run_churn_lane(const Scale& s, unsigned threads) {
 // ---------------------------------------------------------------------------
 // Report.
 // ---------------------------------------------------------------------------
-struct DeterminismRow {
-  unsigned threads = 0;
-  std::uint64_t checksum = 0;
-};
-
 void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
                 const LaneResult& shared, const LaneResult& naive,
                 const std::vector<DeterminismRow>& det,
@@ -379,10 +264,6 @@ void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
       shared.total_bits > 0
           ? static_cast<double>(naive.total_bits) / shared.total_bits
           : 0.0;
-  bool deterministic = true;
-  for (const auto& row : det) {
-    deterministic = deterministic && row.checksum == det.front().checksum;
-  }
   const double hit_rate =
       shared.answers > 0
           ? static_cast<double>(shared.cache_hits) / shared.answers
@@ -466,15 +347,9 @@ void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
      << ",\n"
      << "    \"cache_hits_match_answers\": "
      << (t.cache.hits == shared.cache_hits ? "true" : "false") << "\n"
-     << "  },\n"
-     << "  \"determinism\": [\n";
-  for (std::size_t i = 0; i < det.size(); ++i) {
-    os << "    {\"threads\": " << det[i].threads << ", \"checksum\": \""
-       << std::hex << det[i].checksum << std::dec << "\"}"
-       << (i + 1 < det.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"qps\": {\n"
+     << "  },\n";
+  write_determinism(os, det);
+  os << "  \"qps\": {\n"
      << "    \"nodes\": " << s.churn_side * s.churn_side << ",\n"
      << "    \"bursts\": " << s.churn_bursts << ",\n"
      << "    \"queries_submitted\": " << churn.submitted << ",\n"
@@ -498,7 +373,7 @@ void write_json(std::ostream& os, const Scale& s, bool quick, unsigned threads,
      << "    \"cache_hits_match_answers\": "
      << (t.cache.hits == shared.cache_hits ? "true" : "false") << ",\n"
      << "    \"deterministic_across_thread_counts\": "
-     << (deterministic ? "true" : "false") << ",\n"
+     << (deterministic(det) ? "true" : "false") << ",\n"
      << "    \"qps\": " << std::setprecision(1) << churn.qps() << "\n"
      << "  }\n}\n";
 }
@@ -527,30 +402,14 @@ bool export_trace(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace sensornet::bench;
-  bool quick = false;
-  std::string out_path = "BENCH_PR8.json";
-  std::string trace_path;
-  unsigned threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else {
-      std::cerr << "usage: exp_query_service [--quick] [--out PATH] "
-                   "[--threads N] [--trace PATH]\n";
-      return 2;
-    }
-  }
-  const Scale& s = quick ? kQuick : kFull;
-  const unsigned resolved = sensornet::resolve_thread_count(threads);
+  const LaneCli cli = parse_cli(argc, argv, "BENCH_PR8.json",
+                                /*with_trace=*/true,
+                                "usage: exp_query_service [--quick] [--out "
+                                "PATH] [--threads N] [--trace PATH]\n");
+  const Scale& s = cli.quick ? kQuick : kFull;
+  const unsigned resolved = sensornet::resolve_thread_count(cli.threads);
 
-  std::cout << "EXP query service (" << (quick ? "quick" : "full") << ", "
+  std::cout << "EXP query service (" << (cli.quick ? "quick" : "full") << ", "
             << resolved << " worker(s))\n";
 
   std::cout << "## shared vs naive bits ("
@@ -572,15 +431,10 @@ int main(int argc, char** argv) {
   std::vector<unsigned> counts = {1, 2, resolved};
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  std::vector<DeterminismRow> det;
-  for (const unsigned t : counts) {
-    const LaneResult r = t == resolved
-                             ? shared
-                             : run_continuous_lane(s, t, /*shared=*/true);
-    det.push_back({t, r.checksum});
-    std::cout << "  threads=" << t << " checksum=" << std::hex << r.checksum
-              << std::dec << "\n";
-  }
+  const std::vector<DeterminismRow> det =
+      determinism_rows(counts, resolved, shared.checksum, [&](unsigned t) {
+        return run_continuous_lane(s, t, /*shared=*/true).checksum;
+      });
 
   std::cout << "## churn / qps (" << s.churn_side * s.churn_side
             << " nodes, " << s.churn_bursts << " bursts)\n";
@@ -590,16 +444,16 @@ int main(int argc, char** argv) {
             << " qps (" << churn.admission_errors << " admission errors, "
             << churn.cancels << " cancels)\n";
 
-  std::ofstream out(out_path);
+  std::ofstream out(cli.out);
   if (!out) {
-    std::cerr << "cannot open " << out_path << " for writing\n";
+    std::cerr << "cannot open " << cli.out << " for writing\n";
     return 1;
   }
-  write_json(out, s, quick, resolved, shared, naive, det, churn);
-  std::cout << "wrote " << out_path << "\n";
+  write_json(out, s, cli.quick, resolved, shared, naive, det, churn);
+  std::cout << "wrote " << cli.out << "\n";
 
-  if (!trace_path.empty() && !export_trace(trace_path)) {
-    std::cerr << "cannot open " << trace_path << " for writing\n";
+  if (!cli.trace.empty() && !export_trace(cli.trace)) {
+    std::cerr << "cannot open " << cli.trace << " for writing\n";
     return 1;
   }
 
@@ -615,7 +469,7 @@ int main(int argc, char** argv) {
   // The full lane is a committed workload: 16 subscribers, 32 epochs on a
   // 32x32 grid serve exactly 88 answers from cache. Any drift here is a
   // semantic change to the cache or scheduler and must be deliberate.
-  if (!quick && shared.telemetry.cache.hits != 88) {
+  if (!cli.quick && shared.telemetry.cache.hits != 88) {
     std::cerr << "FATAL: full lane served " << shared.telemetry.cache.hits
               << " answers from cache, expected the committed 88\n";
     return 1;
@@ -632,12 +486,10 @@ int main(int argc, char** argv) {
               << " cache-served answer(s) violated their error bound\n";
     return 1;
   }
-  for (const auto& row : det) {
-    if (row.checksum != det.front().checksum) {
-      std::cerr << "FATAL: answer-stream checksum diverged at "
-                << row.threads << " workers\n";
-      return 1;
-    }
+  if (!deterministic(det)) {
+    std::cerr << "FATAL: answer-stream checksum diverged across worker "
+                 "counts\n";
+    return 1;
   }
   return 0;
 }

@@ -57,11 +57,10 @@ Cube::Cube(sim::Network& net, const net::SpanningTree& tree,
   const auto domain = static_cast<std::uint64_t>(drift_.domain_bound) + 1;
   for (unsigned level = 0; level < config_.levels; ++level) {
     for (unsigned index = 0; index < (1u << level); ++index) {
-      MaintainedRegion& c = cells_.emplace_back();
-      c.region.lo = static_cast<Value>(index * domain >> level);
-      c.region.hi = static_cast<Value>(((index + 1ull) * domain >> level) - 1);
-      c.region.whole_domain =
-          c.region.lo == 0 && c.region.hi == drift_.domain_bound;
+      cells_.emplace_back().region = query::RegionSignature::range(
+          static_cast<Value>(index * domain >> level),
+          static_cast<Value>(((index + 1ull) * domain >> level) - 1),
+          drift_.domain_bound);
     }
   }
   residue_edges_memo_.assign(cells_.size() + 1, kUnknown);
@@ -220,33 +219,24 @@ void Cube::ensure_geometry_installed() {
 
 // ---- serving --------------------------------------------------------------
 
-ServeResult Cube::serve(const query::CostedPlan& plan, std::uint32_t epoch) {
+BundlePartial Cube::serve(const query::CostedPlan& plan, std::uint32_t epoch) {
   ensure_geometry_installed();
-  ServeResult out;
   const bool want_hll = plan.strategy == query::Strategy::kApproxDistinct;
-  std::optional<sketch::Hll> merged;
-  if (want_hll) {
-    SENSORNET_EXPECTS(config_.distinct_registers > 0 &&
-                      plan.registers == config_.distinct_registers);
-    merged = spec_for({}).empty_hll();
-  }
-  const auto add = [&](const BundlePartial& p) {
-    out.bundle.combine(p.bundle);
-    if (want_hll) merged->merge(*p.hll).value();
-  };
+  SENSORNET_EXPECTS(!want_hll ||
+                    (config_.distinct_registers > 0 &&
+                     plan.registers == config_.distinct_registers));
+  // The steps' partials combine as a wave combines a node's children.
+  const BundleSpec spec = spec_for({});
+  const BundleSpec::Request req = spec.request(want_hll);
+  BundlePartial out;
+  if (want_hll) out.hll = spec.empty_hll();
   for (const query::PlanStep& step : plan.steps) {
     if (step.kind == query::StepKind::kCubeCell) {
       refresh_cell(step.cell, epoch);
-      add(cell(step.cell).root);
-      ++out.cells_used;
+      spec.combine(out, cell(step.cell).root, req);
     } else {
-      add(collect_range(step.region, want_hll));
-      ++out.residues_run;
+      spec.combine(out, collect_range(step.region, want_hll), req);
     }
-  }
-  if (want_hll) {
-    out.has_distinct = true;
-    out.distinct_estimate = merged->estimate();
   }
   ++stats_.fresh_serves;
   return out;

@@ -85,16 +85,6 @@ struct CubeStats {
   std::uint64_t geometry_installs = 0;  // lazy one-time broadcast
 };
 
-/// One fresh serve's composition: the exact bundle over the plan's region
-/// at the serve epoch, plus the merged distinct estimate when asked for.
-struct ServeResult {
-  StatsBundle bundle;
-  double distinct_estimate = 0.0;
-  bool has_distinct = false;
-  std::size_t cells_used = 0;
-  std::size_t residues_run = 0;
-};
-
 class Cube final : public query::CubeCatalog {
  public:
   /// The domain is [0, drift.domain_bound]; cell bundles carry margins of
@@ -128,11 +118,12 @@ class Cube final : public query::CubeCatalog {
 
   // ---- serving -----------------------------------------------------------
   /// Executes the plan's steps at `epoch`: brings each cube-cell step's cell
-  /// up to the epoch (incremental descent), runs pruned residue collections
-  /// for the rest, and composes the exact bundle (plus the HLL estimate for
-  /// approx-distinct plans). The first serve pays a one-time geometry
-  /// install broadcast.
-  ServeResult serve(const query::CostedPlan& plan, std::uint32_t epoch);
+  /// up to the epoch (incremental descent), runs a pruned one-shot
+  /// collection (collect_range) for every other step, and composes their
+  /// partials: the exact bundle over the plan's region, plus the merged
+  /// sketch for approx-distinct plans. The first serve pays a one-time
+  /// geometry install broadcast.
+  BundlePartial serve(const query::CostedPlan& plan, std::uint32_t epoch);
 
   /// Zero-bit serve: composes per-cell drift brackets (drift_bracket) at
   /// each cell's own staleness and counts a stale serve. Returns nullopt when

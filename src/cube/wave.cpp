@@ -50,6 +50,23 @@ StatsBundle decode_bundle(BitReader& r, bool whole_domain) {
   return b;
 }
 
+std::optional<BracketedAnswer> fresh_answer(query::AggregateKind agg,
+                                            const BundlePartial& p) {
+  if (agg == query::AggregateKind::kCountDistinct) {
+    if (p.hll) return BracketedAnswer{p.hll->estimate(), 0.0, false};
+    return BracketedAnswer{static_cast<double>(p.values.size()), 0.0, true};
+  }
+  // A fresh core is exact: every rail of its bracket sits on its own values.
+  const RangeStats& c = p.bundle.core;
+  BundleBracket br;
+  br.count_lo = br.count_hi = static_cast<double>(c.count);
+  br.sum_lo = br.sum_hi = static_cast<double>(c.sum);
+  br.defined = br.any_possible = c.count > 0;
+  br.min_lo = br.min_hi = static_cast<double>(c.min);
+  br.max_lo = br.max_hi = static_cast<double>(c.max);
+  return bracketed_answer(agg, c, br);
+}
+
 // ---- BundleSpec -----------------------------------------------------------
 
 sketch::Hll BundleSpec::empty_hll() const {
@@ -75,9 +92,9 @@ BundleSpec::Request BundleSpec::decode_request(BitReader& r) const {
     return request(hll_registers > 0);
   }
   Request req;
-  req.region.lo = static_cast<Value>(decode_uint(r));
-  req.region.hi = req.region.lo + static_cast<Value>(decode_uint(r));
-  req.region.whole_domain = req.region.lo == 0 && req.region.hi == domain_bound;
+  const auto lo = static_cast<Value>(decode_uint(r));
+  const auto width = static_cast<Value>(decode_uint(r));
+  req.region = query::RegionSignature::range(lo, lo + width, domain_bound);
   req.want_hll = r.read_bit();
   return req;
 }

@@ -2,8 +2,9 @@
 // multiresolution cube, on proto::TreeWave.
 //
 // Every maintained collection in the service ships one partial, a
-// BundlePartial, and BundleSpec is that wave's AggregationSpec. The spec
-// says which parts the partial carries:
+// BundlePartial, and BundleSpec is that wave's AggregationSpec;
+// fresh_answer() states how a fresh partial answers a query. The spec says
+// which parts the partial carries:
 //
 //   stats   — a StatsBundle over a region with the drift margins: shared
 //             stats groups, cube cells and residues;
@@ -72,6 +73,13 @@ struct BundlePartial {
   std::optional<sketch::Hll> hll;  // when the request wants one
   ValueSet values;                 // sorted distinct values in the core
 };
+
+/// How a fresh partial answers `agg`. A stats aggregate reads the core
+/// exactly (nullopt for AVG, MIN and MAX over an empty selection).
+/// COUNT_DISTINCT reads the sketch's estimate (not exact, bound 0: its
+/// guarantee is statistical) or, without a sketch, the value count (exact).
+std::optional<BracketedAnswer> fresh_answer(query::AggregateKind agg,
+                                            const BundlePartial& p);
 
 /// AggregationSpec of the bundle wave (see the file comment).
 struct BundleSpec {

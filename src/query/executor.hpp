@@ -50,8 +50,9 @@ class Executor {
   QueryResult run(const std::string& text);
 
   /// Run an already-parsed query under an explicit plan. The executor
-  /// consumes the plan's strategy knobs and ignores its step program —
-  /// it IS the tree-collect fallback every plan can degrade to.
+  /// consumes the plan's strategy knobs and ignores its step program: it
+  /// collects over the whole tree. (A cube-routed plan's steps run in
+  /// cube::Cube::serve instead.)
   QueryResult run(const Query& q, const CostedPlan& plan);
 
  private:

@@ -52,6 +52,11 @@ struct RegionSignature {
   /// which tightens the cache's error bounds.
   bool whole_domain = true;
 
+  /// The region [lo, hi] of the domain [0, domain_bound].
+  static RegionSignature range(Value lo, Value hi, Value domain_bound) {
+    return {lo, hi, lo == 0 && hi == domain_bound};
+  }
+
   bool operator==(const RegionSignature&) const = default;
   auto operator<=>(const RegionSignature&) const = default;
 };
@@ -106,13 +111,16 @@ class CubeCatalog {
 enum class StepKind {
   kCubeCell,        // serve this slice from a maintained cube cell
   kResidueCollect,  // one-shot pruned collection over the slice
-  kTreeCollect,     // plain whole-tree collection (non-cube plans)
+  kTreeCollect,     // one collection over the whole region (see below)
 };
 
 const char* step_kind_name(StepKind k);
 
 /// One slice of the plan's data-access program. Steps partition the query
-/// region left to right; `cell` is meaningful only for kCubeCell.
+/// region left to right; `cell` is meaningful only for kCubeCell. A
+/// kTreeCollect step is run by the executor, or, when the service routes
+/// the plan to the cube, by Cube::collect_range, a pruned one-shot bundle
+/// wave.
 struct PlanStep {
   StepKind kind = StepKind::kTreeCollect;
   RegionSignature region;

@@ -20,31 +20,29 @@ unsigned registers_for_error(double error) {
 
 RegionSignature region_signature(const Query& q, Value max_value_bound) {
   SENSORNET_EXPECTS(max_value_bound >= 0);
-  RegionSignature sig;
-  sig.lo = 0;
-  sig.hi = max_value_bound;
+  Value lo = 0;
+  Value hi = max_value_bound;
   if (q.where) {
     switch (q.where->cmp) {
-      case Condition::Cmp::kLt: sig.hi = q.where->literal - 1; break;
-      case Condition::Cmp::kLe: sig.hi = q.where->literal; break;
-      case Condition::Cmp::kGt: sig.lo = q.where->literal + 1; break;
-      case Condition::Cmp::kGe: sig.lo = q.where->literal; break;
+      case Condition::Cmp::kLt: hi = q.where->literal - 1; break;
+      case Condition::Cmp::kLe: hi = q.where->literal; break;
+      case Condition::Cmp::kGt: lo = q.where->literal + 1; break;
+      case Condition::Cmp::kGe: lo = q.where->literal; break;
       case Condition::Cmp::kBetween:
-        sig.lo = q.where->literal;
-        sig.hi = q.where->literal2;
-        if (sig.lo > sig.hi) {
+        lo = q.where->literal;
+        hi = q.where->literal2;
+        if (lo > hi) {
           throw QueryError(
               "WHERE range is empty (lower bound exceeds upper bound)", 0);
         }
         break;
     }
   }
-  if (sig.hi < 0 || sig.lo > max_value_bound || sig.lo > sig.hi) {
+  if (hi < 0 || lo > max_value_bound || lo > hi) {
     throw QueryError("WHERE range selects no representable value", 0);
   }
-  sig.hi = std::min(sig.hi, max_value_bound);
-  sig.whole_domain = sig.lo == 0 && sig.hi == max_value_bound;
-  return sig;
+  return RegionSignature::range(lo, std::min(hi, max_value_bound),
+                                max_value_bound);
 }
 
 Planner::Planner(Value max_value_bound, const CubeCatalog* catalog)
@@ -230,10 +228,8 @@ void Planner::build_cover(CostedPlan& plan) const {
             cells[ci].ref.level, static_cast<int>(ci));
     }
     for (std::size_t b = a + 1; b < pos.size(); ++b) {
-      RegionSignature rr;
-      rr.lo = pos[a];
-      rr.hi = pos[b] - 1;
-      rr.whole_domain = rr.lo == 0 && rr.hi == max_value_bound_;
+      const auto rr = RegionSignature::range(pos[a], pos[b] - 1,
+                                             max_value_bound_);
       relax(a, b, catalog_->residue_collect_bits(rr), residue_tie, -1);
     }
   }
@@ -250,10 +246,8 @@ void Planner::build_cover(CostedPlan& plan) const {
   while (at != 0) {
     const Node& n = dp[at];
     PlanStep step;
-    step.region.lo = pos[n.prev];
-    step.region.hi = pos[at] - 1;
-    step.region.whole_domain =
-        step.region.lo == 0 && step.region.hi == max_value_bound_;
+    step.region =
+        RegionSignature::range(pos[n.prev], pos[at] - 1, max_value_bound_);
     if (n.via_cell >= 0) {
       step.kind = StepKind::kCubeCell;
       step.cell = cells[static_cast<std::size_t>(n.via_cell)].ref;

@@ -34,8 +34,7 @@ QueryService::QueryService(query::Deployment deployment, ServiceConfig config)
       executor_(deployment),
       store_(deployment.net, deployment.tree,
              cube::DriftModel{deployment.max_value_bound, config.max_delta,
-                              config.cache_horizon_epochs},
-             config.cache_capacity),
+                              kCacheHorizonEpochs}),
       cube_(config.use_cube
                 ? std::make_unique<cube::Cube>(
                       deployment.net, deployment.tree, store_.drift(),
@@ -46,7 +45,6 @@ QueryService::QueryService(query::Deployment deployment, ServiceConfig config)
       planner_(deployment.max_value_bound, cube_.get()),
       farm_(config.threads) {
   SENSORNET_EXPECTS(config.max_delta >= 0);
-  SENSORNET_EXPECTS(config.cache_horizon_epochs >= 1);
 }
 
 QueryService::~QueryService() = default;
@@ -116,13 +114,12 @@ Admission QueryService::admit(ParsedQuery&& parsed) {
   if (!config_.share_aggregation && !config_.use_cube) {
     adm.plan = "naive: " + lq.plan.description;
   } else if (cube_ && planner_.cube_eligible(lq.plan)) {
-    lq.path = Path::kShared;
-    lq.via_cube = true;
+    lq.route = Route::kCube;
     adm.plan = "cube: " + lq.plan.description;
   } else if (config_.share_aggregation &&
              (stats_family ||
               lq.q.agg == query::AggregateKind::kCountDistinct)) {
-    lq.path = Path::kShared;
+    lq.route = Route::kGroup;
     // A new group's install broadcast is charged to the group.
     const auto before = deployment_.net.summary(true);
     if (stats_family) {
@@ -164,94 +161,66 @@ bool QueryService::cancel(QueryId id) {
 Answer QueryService::serve(const LiveQuery& lq, bool collect) {
   const bool stats =
       query::family(lq.q.agg) == query::AggregateFamily::kStats;
-  const bool shared = lq.path == Path::kShared;
-  // 1. The store's bracket of the region.
   Answer a;
   a.id = lq.id;
   a.epoch = epoch_;
-  std::optional<cube::BracketedAnswer> bracket;
-  if (shared && stats && config_.use_cache && !collect) {
-    bracket = store_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
+  // 1. The store's bracket of the region.
+  std::optional<cube::BracketedAnswer> answer;
+  if (lq.route != Route::kExecutor && stats && config_.use_cache && !collect) {
+    answer = store_.lookup(lq.region, lq.q.agg, lq.q.error, epoch_);
   }
-  a.from_cache = bracket.has_value();
+  a.from_cache = answer.has_value();
   // 2. The cube cells' brackets, under a plan re-costed for the cube's
   // current freshness: a cell refreshed for another query this epoch is
   // free to reuse now.
   std::optional<query::CostedPlan> plan;
-  if (!bracket && lq.via_cube) {
+  if (!answer && lq.route == Route::kCube) {
     Result<query::CostedPlan> replanned = planner_.plan(lq.q);
     SENSORNET_EXPECTS(replanned.ok());  // admitted queries stay plannable
     plan = std::move(replanned).value();
     if (stats) {
-      bracket = cube_->stale_bracket(*plan, lq.q.agg, lq.q.error, epoch_);
+      answer = cube_->stale_bracket(*plan, lq.q.agg, lq.q.error, epoch_);
     }
   }
+  const bool bracketed = answer.has_value();
 
   QueryCost& qc = query_costs_[lq.id];
   ++qc.answers;
   ++telemetry_.answers;
-  if (bracket) {
-    a.value = bracket->value;
-    a.error_bound = bracket->bound;
-    a.exact = bracket->exact;
-    qc.bound_slack += cube::error_slack(*bracket, lq.q.error);
-    if (a.from_cache) {
-      ++qc.cache_hits;
-      ++telemetry_.cache_hits;
-    } else {
-      ++qc.cube_stale;
-      ++telemetry_.cube_stale_answers;
-    }
+  if (bracketed) {
+    qc.bound_slack += cube::error_slack(*answer, lq.q.error);
+    ++(a.from_cache ? qc.cache_hits : qc.cube_stale);
   } else {
-    // 3. The fresh collector chosen at admission. Marginal cost: a shared
-    // collection is idempotent per epoch, so the first due subscriber pays
-    // the whole wave and later ones see a zero delta.
+    // 3. A fresh answer. Marginal cost: a shared collection is idempotent
+    // per epoch, so the first due subscriber pays the whole wave and later
+    // ones see a zero delta.
     const auto before = deployment_.net.summary(true);
     const SharedPlanStats waves_before = store_.stats();
-    std::optional<StatsBundle> bundle;
-    if (!shared) {
+    if (lq.route == Route::kExecutor) {
       const query::QueryResult r = executor_.run(lq.q, lq.plan);
-      a.value = r.value;
-      a.exact = r.is_exact;
+      answer = cube::BracketedAnswer{r.value, 0.0, r.is_exact};
       ++telemetry_.executor_runs;
-    } else if (lq.via_cube) {
-      const cube::ServeResult r = cube_->serve(*plan, epoch_);
-      if (stats) {
-        bundle = r.bundle;
+    } else {
+      cube::BundlePartial served;
+      if (lq.route == Route::kCube) {
+        served = cube_->serve(*plan, epoch_);
         // The composed bundle brackets the whole region (cell inners nest
         // inside the region's inner, cell outers cover its outer).
-        if (config_.use_cache) store_.store(lq.region, epoch_, r.bundle);
-      } else {
-        SENSORNET_EXPECTS(r.has_distinct);
-        a.value = r.distinct_estimate;
-        a.exact = false;
+        if (stats && config_.use_cache) {
+          store_.store(lq.region, epoch_, served.bundle);
+        }
       }
-      ++telemetry_.cube_fresh_answers;
-    } else {
-      const cube::BundlePartial& p = store_.collect(lq.group, epoch_);
-      if (stats) {
-        bundle = p.bundle;
-      } else {
-        a.value = p.hll ? p.hll->estimate()
-                        : static_cast<double>(p.values.size());
-        a.exact = !p.hll;
-      }
-    }
-    if (bundle) {
-      // A fresh core is exact: read as a whole-domain bundle at drift 0 it
-      // brackets itself with zero width.
-      const auto bound = static_cast<double>(deployment_.max_value_bound);
-      const auto exact = cube::bracketed_answer(
-          lq.q.agg, bundle->core,
-          cube::bracket_bundle(*bundle, /*whole_domain=*/true, 0, 0, bound));
-      a.value = exact ? exact->value : 0.0;
-      a.empty_selection = !exact;
+      answer = cube::fresh_answer(
+          lq.q.agg, lq.route == Route::kCube
+                        ? served
+                        : store_.collect(lq.group, epoch_));
+      a.empty_selection = !answer;
     }
     const CostDelta d = cost_since(deployment_.net, before);
     ++qc.fresh;
     qc.bits_on_air += d.bits;
     qc.messages += d.messages;
-    if (shared && !lq.via_cube) {
+    if (lq.route == Route::kGroup) {
       const SharedPlanStats& waves = store_.stats();
       GroupCost& gc = group_costs_[lq.group];
       gc.bits_on_air += d.bits;
@@ -260,16 +229,22 @@ Answer QueryService::serve(const LiveQuery& lq, bool collect) {
                         (waves.distinct_waves - waves_before.distinct_waves);
     }
   }
+  if (answer) {
+    a.value = answer->value;
+    a.error_bound = answer->bound;
+    a.exact = answer->exact;
+  }
 
   obs::TraceRing& ring = obs::TraceRing::global();
   if (ring.enabled()) {
     // The answer's source: cached (0 for a fresh collection), cube_stale or
     // cube_fresh.
-    const char* source = bracket && !a.from_cache  ? "cube_stale"
-                         : !bracket && lq.via_cube ? "cube_fresh"
-                                                   : "cached";
+    const bool cube = lq.route == Route::kCube;
+    const char* source = bracketed && !a.from_cache ? "cube_stale"
+                         : !bracketed && cube       ? "cube_fresh"
+                                                    : "cached";
     ring.instant("query.answer", "service", deployment_.net.now(), 0, "id",
-                 lq.id, source, bracket || lq.via_cube ? 1 : 0);
+                 lq.id, source, bracketed || cube ? 1 : 0);
   }
   return a;
 }
@@ -316,9 +291,7 @@ std::vector<Answer> QueryService::run_epoch(
     // it, so its bits land in the service-level bucket.
     const auto before = deployment_.net.summary(true);
     store_.note_updates(touched, epoch_);
-    const CostDelta d = cost_since(deployment_.net, before);
-    mark_bits_on_air_ += d.bits;
-    mark_messages_ += d.messages;
+    mark_bits_on_air_ += cost_since(deployment_.net, before).bits;
   }
 
   // Which pinned stats groups must collect fresh this epoch? A single due
@@ -331,7 +304,7 @@ std::vector<Answer> QueryService::run_epoch(
            (epoch_ - lq.registered_epoch) % lq.every == 0;
   };
   const auto pinned_stats = [](const LiveQuery& lq) {
-    return lq.path == Path::kShared && !lq.via_cube &&
+    return lq.route == Route::kGroup &&
            query::family(lq.q.agg) == query::AggregateFamily::kStats;
   };
   std::vector<GroupId> collect;
@@ -361,19 +334,28 @@ std::vector<Answer> QueryService::run_epoch(
   return answers;
 }
 
+ServiceTelemetry QueryService::telemetry() const {
+  ServiceTelemetry t = telemetry_;
+  t.cache_hits = store_.counters().hits;
+  if (cube_) {
+    t.cube_fresh_answers = cube_->stats().fresh_serves;
+    t.cube_stale_answers = cube_->stats().stale_serves;
+  }
+  return t;
+}
+
 TelemetrySnapshot QueryService::telemetry_snapshot() const {
   TelemetrySnapshot snap;
-  snap.totals = telemetry_;
+  snap.totals = telemetry();
   snap.cache = store_.counters();
   snap.plan = store_.stats();
   if (cube_) snap.cube = cube_->stats();
   snap.mark_bits_on_air = mark_bits_on_air_;
-  snap.mark_messages = mark_messages_;
+  snap.mark_messages = snap.plan.mark_messages;
   snap.queries = query_costs_;
   snap.groups = group_costs_;
   for (const auto& [id, lq] : live_) {
-    if (lq.path == Path::kExecutor || lq.via_cube) continue;
-    ++snap.groups[lq.group].subscribers;
+    if (lq.route == Route::kGroup) ++snap.groups[lq.group].subscribers;
   }
   return snap;
 }

@@ -6,23 +6,28 @@
 // (`EVERY n EPOCHS`) queries, sensor updates arrive in per-epoch batches,
 // and due queries are answered each epoch.
 //
-// Admission routes a query one of two ways. Median/quantile queries, and
-// every query in naive mode, are served by the per-query executor. The rest
-// are served from shared state: the region store (region_store.hpp), whose
-// pinned entries are the shared stats groups, and, with use_cube on, the
-// multiresolution cube (cube::Cube), whose planner covers the region with
-// the bit-cheapest mix of maintained cells and residue collections. Shared
-// state is refreshed incrementally: waves descend only into subtrees whose
-// dirty marks show a change since the last visit.
+// Admission gives every query one of three routes:
+//
+//   executor — median/quantile queries, and every query in naive mode: the
+//              per-query one-shot executor;
+//   group    — the other stats and COUNT_DISTINCT queries: a shared group
+//              of the region store (region_store.hpp), a pinned maintained
+//              region whose one wave per epoch serves all its subscribers;
+//   cube     — with use_cube on, cube-eligible queries: the multiresolution
+//              cube (cube::Cube), whose planner covers the region with the
+//              bit-cheapest mix of maintained cells and residue collections.
+//
+// Shared state is refreshed incrementally: waves descend only into subtrees
+// whose dirty marks show a change since the last visit.
 //
 // One serve routine answers every query, trying the zero-bit sources first:
 //
 //   1. the store's drift bracket of the query's region (use_cache on, stats
-//      aggregates), when it meets the query's ERROR;
+//      aggregates on the group or cube route), when it meets the ERROR;
 //   2. the cube cells' composed drift brackets (cube-routed stats queries);
-//   3. the fresh collector chosen at admission: the group's shared wave
-//      (the first due subscriber of an epoch pays it, the rest ride it), a
-//      fresh cube serve, or the executor.
+//   3. a fresh answer: the executor's, or cube::fresh_answer of the route's
+//      fresh partial, the group's shared wave (the first due subscriber of
+//      an epoch pays it, the rest ride it) or a fresh cube serve.
 //
 // A stats group's subscribers are answered alike: if any due subscriber
 // needs a fresh collection, all of them get the fresh answer that epoch.
@@ -54,17 +59,15 @@ namespace sensornet::service {
 
 using QueryId = std::uint32_t;
 
+/// Margin (in epochs) baked into collected bundles: stored bundles and cube
+/// cells bracket ranged regions for this many epochs of staleness.
+inline constexpr std::uint32_t kCacheHorizonEpochs = 8;
+
 struct ServiceConfig {
   /// Drift model: a reading moves by at most this much per epoch (enforced
   /// on the update feed; the cache's bounds are sound exactly because of
   /// this).
   Value max_delta = 4;
-  /// Margin (in epochs) baked into collected bundles; stored bundles
-  /// bracket ranged regions for this many epochs of staleness.
-  std::uint32_t cache_horizon_epochs = 8;
-  /// Bounds the region store's root-only entries (cube serves' composed
-  /// bundles). Pinned entries, the shared stats groups, are never evicted.
-  std::size_t cache_capacity = 1024;
   /// Off = the naive baseline: every due query re-runs the one-shot
   /// executor, no marks, no cache. The bench's comparator.
   bool share_aggregation = true;
@@ -115,6 +118,8 @@ struct Admission {
   std::optional<Answer> answer;
 };
 
+/// Answer totals. cache_hits and the cube counts are read from their owners
+/// (CacheCounters::hits, CubeStats::fresh_serves / stale_serves).
 struct ServiceTelemetry {
   std::uint64_t answers = 0;
   std::uint64_t cache_hits = 0;
@@ -201,8 +206,9 @@ class QueryService {
   std::uint32_t epoch() const { return epoch_; }
   std::size_t live_queries() const { return live_.size(); }
 
-  const ServiceTelemetry& telemetry() const { return telemetry_; }
+  ServiceTelemetry telemetry() const;
   const SharedPlanStats& plan_stats() const { return store_.stats(); }
+  const RegionStore& store() const { return store_; }
   /// Null when use_cube is off.
   const cube::Cube* cube() const { return cube_.get(); }
   const query::Planner& planner() const { return planner_; }
@@ -214,20 +220,16 @@ class QueryService {
   TelemetrySnapshot telemetry_snapshot() const;
 
  private:
-  /// How the service routes a query each time it is due.
-  enum class Path {
-    kShared,    // the region store and, when cube-routed, the cube
-    kExecutor,  // per-query one-shot executor (median/quantile, naive mode)
-  };
+  /// The route admission gives a query (see the file comment).
+  enum class Route { kExecutor, kGroup, kCube };
 
   struct LiveQuery {
     QueryId id = 0;
     query::Query q;
     query::CostedPlan plan;
     query::RegionSignature region;
-    Path path = Path::kExecutor;
-    bool via_cube = false;  // kShared: the cube's cover, not a store group
-    GroupId group = 0;      // kShared without the cube: the store's group
+    Route route = Route::kExecutor;
+    GroupId group = 0;  // kGroup: the store's group
     std::uint32_t registered_epoch = 0;
     std::uint32_t every = 0;  // 0 for one-shot
   };
@@ -261,13 +263,12 @@ class QueryService {
   std::uint32_t epoch_ = 0;
   QueryId next_id_ = 1;
   std::map<QueryId, LiveQuery> live_;  // ordered: answers come out by id
-  ServiceTelemetry telemetry_;
+  ServiceTelemetry telemetry_;  // the engine's own counts (see telemetry())
 
   // ---- cost attribution ledgers (see TelemetrySnapshot) -----------------
   std::map<QueryId, QueryCost> query_costs_;
   std::map<GroupId, GroupCost> group_costs_;
   std::uint64_t mark_bits_on_air_ = 0;
-  std::uint64_t mark_messages_ = 0;
 };
 
 }  // namespace sensornet::service

@@ -11,14 +11,9 @@
 namespace sensornet::service {
 
 RegionStore::RegionStore(sim::Network& net, const net::SpanningTree& tree,
-                         const cube::DriftModel& drift, std::size_t capacity)
-    : net_(net),
-      tree_(tree),
-      drift_(drift),
-      capacity_(capacity),
-      dirty_(net, tree) {
+                         const cube::DriftModel& drift)
+    : net_(net), tree_(tree), drift_(drift), dirty_(net, tree) {
   SENSORNET_EXPECTS(drift.domain_bound >= 0 && drift.max_delta >= 0);
-  SENSORNET_EXPECTS(capacity > 0);
 }
 
 // ---- shared groups --------------------------------------------------------
@@ -121,7 +116,7 @@ void RegionStore::store(const query::RegionSignature& region,
   m.region = region;
   m.root.bundle = bundle;
   m.epoch = epoch;
-  if (!inserted || ++root_only_ <= capacity_) return;
+  if (!inserted || ++root_only_ <= kRootOnlyCapacity) return;
   // Evict the stalest root-only entry — it is both the least likely to
   // satisfy a tolerance and the first to expire outright. Pinned entries
   // sort last.

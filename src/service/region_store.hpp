@@ -15,7 +15,8 @@
 //               refreshes the per-edge partials with cube::refresh, and the
 //               entry is never evicted.
 //   root-only — a cube serve's composed bundle (no per-edge state). Only
-//               these count against the capacity; the stalest goes first.
+//               these count against kRootOnlyCapacity; the stalest goes
+//               first.
 //
 // Refreshes are incremental. Sensors that change push a coalesced 1-bit
 // dirty mark up the tree (cube::DirtyTracker, shared with the cube), and a
@@ -83,10 +84,13 @@ struct SharedPlanStats {
 
 class RegionStore {
  public:
+  /// Root-only entries held at most; pinned entries are never evicted.
+  static constexpr std::size_t kRootOnlyCapacity = 1024;
+
   /// Bundles carry margins of drift.margin(), so ranged entries bracket for
-  /// drift.horizon_epochs epochs. `capacity` bounds root-only entries.
+  /// drift.horizon_epochs epochs.
   RegionStore(sim::Network& net, const net::SpanningTree& tree,
-              const cube::DriftModel& drift, std::size_t capacity = 1024);
+              const cube::DriftModel& drift);
 
   RegionStore(const RegionStore&) = delete;
   RegionStore& operator=(const RegionStore&) = delete;
@@ -166,7 +170,6 @@ class RegionStore {
   sim::Network& net_;
   const net::SpanningTree& tree_;
   cube::DriftModel drift_;
-  std::size_t capacity_;
   cube::DirtyTracker dirty_;
   std::map<query::RegionSignature, Entry> regions_;
   std::size_t root_only_ = 0;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -90,7 +91,7 @@ TEST(Cube, ServeComposesTheExactAnswer) {
         "SELECT MAX(v) FROM s WHERE v BETWEEN 0 AND 499",
         "SELECT COUNT(v) FROM s WHERE v BETWEEN 77 AND 901"}) {
     const query::CostedPlan plan = f.plan_for(text);
-    const ServeResult r = f.cube.serve(plan, 0);
+    const BundlePartial r = f.cube.serve(plan, 0);
     EXPECT_EQ(r.bundle.core, direct_core(f.net, plan.region)) << text;
   }
 }
@@ -117,7 +118,7 @@ TEST(Cube, QuiescentRefreshIsFree) {
   const auto descended = f.cube.stats().cell_edges_descended;
   // Nothing changed: epoch 1's refresh is answered entirely from the
   // parent-side partials.
-  const ServeResult r = f.cube.serve(plan, 1);
+  const BundlePartial r = f.cube.serve(plan, 1);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
   EXPECT_EQ(f.cube.stats().cell_edges_descended, descended);
   EXPECT_EQ(r.bundle.core, direct_core(f.net, plan.region));
@@ -135,7 +136,7 @@ TEST(Cube, IncrementalRefreshDescendsOnlyTheDirtyPath) {
   f.net.update_item(changed, 0, f.net.items(changed)[0] + kDelta);
   const std::vector<NodeId> touched{changed};
   f.dirty.note_updates(touched, 1);
-  const ServeResult r = f.cube.serve(plan, 1);
+  const BundlePartial r = f.cube.serve(plan, 1);
   // Exactly the changed node's root path is revisited.
   EXPECT_EQ(f.cube.stats().cell_edges_descended, 63u + f.tree.depth[changed]);
   EXPECT_GT(f.cube.stats().cell_edges_skipped, 0u);
@@ -148,16 +149,16 @@ TEST(Cube, ResiduePrunesSubtreesProvablyEmptyForTheRange) {
   // partial records an empty outer region for [500, 1000].
   const query::CostedPlan upper =
       f.plan_for("SELECT COUNT(v) FROM s WHERE v BETWEEN 500 AND 1000");
-  const ServeResult first = f.cube.serve(upper, 0);
+  const BundlePartial first = f.cube.serve(upper, 0);
   EXPECT_EQ(first.bundle.core.count, 0u);
-  ASSERT_GT(first.cells_used + first.residues_run, 0u);
+  ASSERT_FALSE(upper.steps.empty());
 
   // A misaligned range inside the proven-empty region: the residue wave
   // prunes every root-child edge, so the collection is free — and exact.
   const auto msgs = f.net.summary().total_messages;
   const query::CostedPlan inner =
       f.plan_for("SELECT COUNT(v) FROM s WHERE v BETWEEN 600 AND 700");
-  const ServeResult r = f.cube.serve(inner, 0);
+  const BundlePartial r = f.cube.serve(inner, 0);
   EXPECT_EQ(r.bundle.core.count, 0u);
   EXPECT_GT(f.cube.stats().residue_edges_pruned, 0u);
   EXPECT_EQ(f.net.summary().total_messages, msgs);
@@ -175,7 +176,7 @@ TEST(Cube, PruningStopsWhenTheSubtreeChanges) {
   f.dirty.note_updates(touched, 1);
   const query::CostedPlan inner =
       f.plan_for("SELECT COUNT(v) FROM s WHERE v BETWEEN 600 AND 700");
-  const ServeResult r = f.cube.serve(inner, 1);
+  const BundlePartial r = f.cube.serve(inner, 1);
   EXPECT_EQ(r.bundle.core, direct_core(f.net, inner.region));
   EXPECT_EQ(r.bundle.core.count, 1u);
 }
@@ -304,8 +305,8 @@ TEST(Cube, DistinctEstimateIsByteIdenticalToTheTreeOracle) {
   const query::CostedPlan plan =
       f.plan_for("SELECT COUNT_DISTINCT(v) FROM s ERROR 0.15");
   ASSERT_EQ(plan.registers, 64u);
-  const ServeResult r = f.cube.serve(plan, 0);
-  ASSERT_TRUE(r.has_distinct);
+  const BundlePartial r = f.cube.serve(plan, 0);
+  ASSERT_TRUE(r.hll.has_value());
 
   // Twin network, same seed and items, answered by the PR 3 hashed-HLL
   // tree protocol: the cube replicates its sketch geometry (salt, width),
@@ -314,7 +315,7 @@ TEST(Cube, DistinctEstimateIsByteIdenticalToTheTreeOracle) {
   const auto oracle = core::approx_count_distinct(
       twin.net, twin.tree, 64, proto::EstimatorKind::kHyperLogLog,
       proto::raw_item_view());
-  EXPECT_DOUBLE_EQ(r.distinct_estimate, oracle.estimate);
+  EXPECT_DOUBLE_EQ(r.hll->estimate(), oracle.estimate);
 }
 
 TEST(Cube, RangedDistinctComposesCellsAndResiduesExactly) {
@@ -323,14 +324,14 @@ TEST(Cube, RangedDistinctComposesCellsAndResiduesExactly) {
   Fixture f(cfg);
   const query::CostedPlan plan = f.plan_for(
       "SELECT COUNT_DISTINCT(v) FROM s WHERE v BETWEEN 0 AND 99 ERROR 0.15");
-  const ServeResult r = f.cube.serve(plan, 0);
-  ASSERT_TRUE(r.has_distinct);
+  const BundlePartial r = f.cube.serve(plan, 0);
+  ASSERT_TRUE(r.hll.has_value());
 
   Fixture twin(CubeConfig{});
   const RegionView view(0, 99);
   const auto oracle = core::approx_count_distinct(
       twin.net, twin.tree, 64, proto::EstimatorKind::kHyperLogLog, view);
-  EXPECT_DOUBLE_EQ(r.distinct_estimate, oracle.estimate);
+  EXPECT_DOUBLE_EQ(r.hll->estimate(), oracle.estimate);
 }
 
 TEST(Cube, CostModelTracksActualRefreshState) {
@@ -520,7 +521,7 @@ TEST(Cube, CostModelMatchesTheAllCellsReferenceThroughDriftAndRefreshes) {
         const auto level = static_cast<unsigned>(rng.next_below(cfg.levels));
         const auto index = static_cast<unsigned>(rng.next_below(1u << level));
         const query::CubeCellRef cell{level, index};
-        const ServeResult r = f.cube.serve(
+        const BundlePartial r = f.cube.serve(
             single_step_plan(query::StepKind::kCubeCell,
                              f.cube.cell_region(cell), cell),
             epoch);
@@ -530,7 +531,7 @@ TEST(Cube, CostModelMatchesTheAllCellsReferenceThroughDriftAndRefreshes) {
       }
       default: {  // residue serve
         const query::RegionSignature region = random_region();
-        const ServeResult r = f.cube.serve(
+        const BundlePartial r = f.cube.serve(
             single_step_plan(query::StepKind::kResidueCollect, region), epoch);
         EXPECT_EQ(r.bundle.core, direct_core(f.net, region));
         break;
@@ -542,6 +543,64 @@ TEST(Cube, CostModelMatchesTheAllCellsReferenceThroughDriftAndRefreshes) {
   EXPECT_GT(reference_prunes, 0u);
   EXPECT_GT(f.cube.stats().refresh_waves, 0u);
   EXPECT_GT(f.cube.stats().residue_edges_pruned, 0u);
+}
+
+TEST(FreshAnswer, StatsAggregatesReadTheCoreExactly) {
+  using query::AggregateKind;
+  BundlePartial p;
+  for (const Value v : {7, 3, 12}) p.bundle.core.observe(v);
+  const std::pair<AggregateKind, double> cases[] = {
+      {AggregateKind::kCount, 3.0}, {AggregateKind::kSum, 22.0},
+      {AggregateKind::kAvg, 22.0 / 3.0}, {AggregateKind::kMin, 3.0},
+      {AggregateKind::kMax, 12.0}};
+  for (const auto& [agg, value] : cases) {
+    const auto a = fresh_answer(agg, p);
+    ASSERT_TRUE(a.has_value()) << query::agg_name(agg);
+    EXPECT_DOUBLE_EQ(a->value, value) << query::agg_name(agg);
+    EXPECT_EQ(a->bound, 0.0) << query::agg_name(agg);
+    EXPECT_TRUE(a->exact) << query::agg_name(agg);
+  }
+}
+
+TEST(FreshAnswer, AnEmptySelectionHasNoAvgMinOrMax) {
+  using query::AggregateKind;
+  const BundlePartial empty;
+  for (const AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum}) {
+    const auto a = fresh_answer(agg, empty);
+    ASSERT_TRUE(a.has_value()) << query::agg_name(agg);
+    EXPECT_EQ(a->value, 0.0) << query::agg_name(agg);
+    EXPECT_TRUE(a->exact) << query::agg_name(agg);
+  }
+  for (const AggregateKind agg :
+       {AggregateKind::kAvg, AggregateKind::kMin, AggregateKind::kMax}) {
+    EXPECT_FALSE(fresh_answer(agg, empty).has_value())
+        << query::agg_name(agg);
+  }
+}
+
+TEST(FreshAnswer, ASketchEstimatesAndAValueSetCounts) {
+  BundleSpec spec;
+  spec.hll_registers = 64;
+  spec.hll_width = hll_width(64);
+  BundlePartial sketch;
+  sketch.hll = spec.empty_hll();
+  for (const Value v : {4, 8, 15, 16, 23, 42}) {
+    sketch.hll->add(static_cast<std::uint64_t>(v), kHllSalt);
+  }
+  const auto estimate =
+      fresh_answer(query::AggregateKind::kCountDistinct, sketch);
+  ASSERT_TRUE(estimate.has_value());
+  EXPECT_DOUBLE_EQ(estimate->value, sketch.hll->estimate());
+  EXPECT_EQ(estimate->bound, 0.0);
+  EXPECT_FALSE(estimate->exact);  // a statistical guarantee, not a bracket
+
+  BundlePartial set;
+  set.values = {2, 5, 9};
+  const auto count = fresh_answer(query::AggregateKind::kCountDistinct, set);
+  ASSERT_TRUE(count.has_value());
+  EXPECT_EQ(count->value, 3.0);
+  EXPECT_EQ(count->bound, 0.0);
+  EXPECT_TRUE(count->exact);
 }
 
 }  // namespace

@@ -168,12 +168,10 @@ TEST(QueryService, ARejectedBatchChangesNothing) {
   EXPECT_DOUBLE_EQ(after[0].value, f.exact("SUM", 0, kBound));
 }
 
-TEST(QueryService, AFullCacheKeepsTheAnswersPlannedFromIt) {
-  // One entry of room: the exact subscriber's fresh store evicts the entry
-  // the tolerant subscriber was planned to be served from.
-  ServiceConfig cfg;
-  cfg.cache_capacity = 1;
-  Fixture f(cfg);
+TEST(QueryService, AnExactGroupLeavesATolerantGroupServedFromTheStore) {
+  // The exact subscriber's group collects fresh each epoch; the tolerant
+  // subscriber of another region is still served from its group's bracket.
+  Fixture f;
   f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 100 "
                "EVERY 1 EPOCHS")
       .value();
@@ -189,8 +187,12 @@ TEST(QueryService, AFullCacheKeepsTheAnswersPlannedFromIt) {
             answers[1].error_bound);
 }
 
-TEST(QueryService, ACacheFilledByOneShotsKeepsTheAnswersPlannedFromIt) {
-  Fixture f;  // default capacity
+TEST(QueryService, CubeOneShotsBeyondCapacityEvictWhileAnswersStaySound) {
+  // On the cube route every fresh stats serve keeps a root-only entry, so
+  // distinct ranged one-shots fill the store past its capacity.
+  ServiceConfig cfg;
+  cfg.use_cube = true;
+  Fixture f(cfg);
   f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 200 AND 280 "
                "EVERY 2 EPOCHS")
       .value();
@@ -198,31 +200,29 @@ TEST(QueryService, ACacheFilledByOneShotsKeepsTheAnswersPlannedFromIt) {
                "EVERY 1 EPOCHS ERROR 0.9")
       .value();
   f.svc.run_epoch({});  // only the tolerant subscriber is due: it stores
-  // Distinct ranged one-shots fill the rest of the cache at the same epoch;
-  // the tolerant subscriber's entry sorts first among the stalest.
-  for (int i = 0; i < 1023; ++i) {
-    const int lo = 300 + i % 500;
-    const int hi = lo + 1 + i / 500;
+  // At the same epoch the tolerant subscriber's entry sorts first among the
+  // stalest, so the last one-shot evicts it.
+  for (std::size_t i = 0; i < RegionStore::kRootOnlyCapacity; ++i) {
+    const std::size_t lo = 300 + i % 500;
+    const std::size_t hi = lo + 1 + i / 500;
     f.svc.submit("SELECT COUNT(v) FROM s WHERE v BETWEEN " +
                  std::to_string(lo) + " AND " + std::to_string(hi))
         .value();
   }
+  EXPECT_EQ(f.svc.store().size(), RegionStore::kRootOnlyCapacity);
   const auto answers = f.svc.run_epoch({});
   ASSERT_EQ(answers.size(), 2u);
-  EXPECT_FALSE(answers[0].from_cache);
+  EXPECT_TRUE(answers[0].exact);
   EXPECT_DOUBLE_EQ(answers[0].value, f.exact("SUM", 200, 280));
-  EXPECT_TRUE(answers[1].from_cache);
   EXPECT_LE(std::abs(answers[1].value - f.exact("COUNT", 0, 150)),
             answers[1].error_bound);
+  EXPECT_EQ(f.svc.store().size(), RegionStore::kRootOnlyCapacity);
 }
 
-TEST(QueryService, SharedGroupsBeyondCapacityStillServeFromTheStore) {
-  // cache_capacity bounds only the cube's root-only entries: two shared
-  // groups with room for one both keep bracketing, so both tolerant
-  // subscribers are served with zero bits on the second epoch.
-  ServiceConfig cfg;
-  cfg.cache_capacity = 1;
-  Fixture f(cfg);
+TEST(QueryService, TolerantGroupsServeFromTheStoreWithoutMessages) {
+  // Two shared groups keep bracketing, so both tolerant subscribers are
+  // served with zero bits on the second epoch.
+  Fixture f;
   f.svc.submit("SELECT SUM(v) FROM s WHERE v BETWEEN 0 AND 100 "
                "EVERY 1 EPOCHS ERROR 0.9")
       .value();

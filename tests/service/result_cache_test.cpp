@@ -22,10 +22,10 @@ constexpr double kAnyError = std::numeric_limits<double>::infinity();
 /// (root-only entries never touch the network).
 class Cache {
  public:
-  explicit Cache(std::size_t capacity = 1024)
+  Cache()
       : net_(net::make_grid(2, 2), 7),
         tree_(net::bfs_tree(net_.graph(), 0)),
-        store_(net_, tree_, {kBound, kDelta, kHorizon}, capacity) {}
+        store_(net_, tree_, {kBound, kDelta, kHorizon}) {}
 
   void store(const query::RegionSignature& region, std::uint32_t epoch,
              const StatsBundle& bundle) {
@@ -227,14 +227,20 @@ TEST(RegionStore, EmptySelectionsRefuseValueAggregates) {
 }
 
 TEST(RegionStore, EvictsStalestBeyondCapacity) {
-  Cache cache(/*capacity=*/2);
+  // Capacity + 1 root-only entries: the stalest, r1, makes room.
+  Cache cache;
   const query::RegionSignature r1{1, 10, false};
   const query::RegionSignature r2{2, 20, false};
   const query::RegionSignature r3{3, 30, false};
   cache.store(r1, 1, ranged_bundle({5}, 1, 10));
   cache.store(r2, 5, ranged_bundle({5}, 2, 20));
+  for (std::size_t i = 0; i + 2 < RegionStore::kRootOnlyCapacity; ++i) {
+    const auto lo = static_cast<Value>(10 + i % 500);
+    const auto hi = static_cast<Value>(lo + 40 + i / 500);
+    cache.store({lo, hi, false}, 5, ranged_bundle({5}, lo, hi));
+  }
   cache.store(r3, 6, ranged_bundle({5}, 3, 30));
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.size(), RegionStore::kRootOnlyCapacity);
   EXPECT_FALSE(cache.bracket(r1, query::AggregateKind::kCount, 6).has_value());
   EXPECT_TRUE(cache.bracket(r2, query::AggregateKind::kCount, 6).has_value());
   EXPECT_TRUE(cache.bracket(r3, query::AggregateKind::kCount, 6).has_value());

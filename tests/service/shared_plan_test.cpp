@@ -213,22 +213,27 @@ StatsBundle ranged_bundle(std::initializer_list<Value> vs, Value lo, Value hi,
 
 TEST(RegionStore, PinnedRegionsOutliveRootOnlyChurn) {
   // Only root-only entries count against the capacity: a shared group's
-  // entry keeps bracketing however many cube bundles come and go.
+  // entry keeps bracketing however many cube bundles come and go. Capacity
+  // + 2 root-only entries evict the two stalest, r1 and r2.
   Fixture f;
-  RegionStore small(f.net, f.tree, {kBound, kDelta, kHorizon},
-                    /*capacity=*/1);
+  RegionStore& store = f.store;
   const query::RegionSignature pinned{30, 120, false};
-  small.collect(small.pin_stats(pinned), 1);
+  store.collect(store.pin_stats(pinned), 1);
   const query::RegionSignature r1{1, 10, false};
   const query::RegionSignature r2{2, 20, false};
   const query::RegionSignature r3{3, 30, false};
-  small.store(r1, 1, ranged_bundle({5}, 1, 10));
-  small.store(r2, 2, ranged_bundle({5}, 2, 20));
-  small.store(r3, 3, ranged_bundle({5}, 3, 30));
+  store.store(r1, 1, ranged_bundle({5}, 1, 10));
+  store.store(r2, 2, ranged_bundle({5}, 2, 20));
+  for (std::size_t i = 0; i + 1 < RegionStore::kRootOnlyCapacity; ++i) {
+    const auto lo = static_cast<Value>(130 + i % 500);
+    const auto hi = static_cast<Value>(lo + 40 + i / 500);
+    store.store({lo, hi, false}, 3, ranged_bundle({5}, lo, hi));
+  }
+  store.store(r3, 3, ranged_bundle({5}, 3, 30));
   const auto count = [&](const query::RegionSignature& region) {
-    return small.probe(region, query::AggregateKind::kCount, kAnyError, 3);
+    return store.probe(region, query::AggregateKind::kCount, kAnyError, 3);
   };
-  EXPECT_EQ(small.size(), 2u);
+  EXPECT_EQ(store.size(), RegionStore::kRootOnlyCapacity + 1);
   EXPECT_FALSE(count(r1).has_value());
   EXPECT_FALSE(count(r2).has_value());
   EXPECT_TRUE(count(r3).has_value());
