@@ -140,9 +140,12 @@ void comparison_at(std::size_t n, Value X, bool include_randomized) {
 void run() {
   print_banner(
       "EXP-CMP", "Section 1 related work",
-      "medians compared on one deployment: Fig. 1 beats collect-all at "
-      "scale; Fig. 4 undercuts everything on bits once N is large; [14] "
-      "trades tiny transmit for huge receive (single-hop only)");
+      "medians compared on one deployment: Fig. 1 is exact at fewer bits "
+      "per node than collect-all at every N; Fig. 4's repetition schedule "
+      "makes it the costliest row at both N it runs (over 1 Mbit per "
+      "node), so its polyloglog bound does not pay off at these sizes; "
+      "sampling and GK are cheapest on bits but approximate; [14] trades "
+      "tiny transmit for huge receive (single-hop only)");
   comparison_at(256, 1 << 16, /*include_randomized=*/true);
   comparison_at(1024, 1 << 20, /*include_randomized=*/true);
   // At 4096 the randomized drivers' repetition schedules dominate bench

@@ -96,6 +96,7 @@ ApxMedian2Result approx_median2(sim::Network& net,
   SENSORNET_EXPECTS(params.epsilon > 0.0 && params.epsilon < 1.0);
   SENSORNET_EXPECTS(params.max_value_bound >= 2);
   SENSORNET_EXPECTS(params.rank_phi > 0.0 && params.rank_phi < 1.0);
+  SENSORNET_EXPECTS(params.rep_scale > 0.0);
   const Value X = params.max_value_bound;
 
   ApxMedian2Result res;
@@ -186,9 +187,9 @@ ApxMedian2Result approx_median2(sim::Network& net,
     if (mu_hat == 0 || lo == hi) break;  // pinned to a single value
   }
 
-  if (mu_hats.empty()) {
-    throw ProtocolError("approx_median2: no stage completed");
-  }
+  // Stage 1 sees every input item, so its MIN/MAX come back empty only for
+  // an empty input: no stage, value 0.
+  if (mu_hats.empty()) return res;
   res.value = res.interval_lo + (res.interval_hi - res.interval_lo) / 2;
   return res;
 }

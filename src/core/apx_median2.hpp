@@ -60,6 +60,8 @@ struct ApxMedian2Result {
   /// The interval itself; (hi - lo) / X is the achieved beta.
   Value interval_lo = 0;
   Value interval_hi = 0;
+  /// 0 only for an empty input (stage 1's MIN/MAX found no item); value
+  /// is then 0.
   unsigned stages = 0;
   unsigned apx_count_calls = 0;
   std::vector<Median2StageTrace> trace;

@@ -92,103 +92,56 @@ void Snapshot::write_json(std::ostream& os, int indent) const {
 #include <deque>
 #include <map>
 #include <mutex>
-#include <thread>
 
 namespace sensornet::obs {
 
-namespace {
-
-// Shard geometry. kShards bounds cross-thread contention (two threads only
-// collide when their id hashes do); kCellsPerShard bounds how many metric
-// cells the process can register. Both are deliberately fixed: cell arrays
-// never reallocate, so the hot ops can index them without synchronization.
-constexpr std::size_t kShards = 16;
-constexpr std::size_t kCellsPerShard = 1024;
-constexpr std::size_t kMaxGauges = 256;
-
-struct alignas(64) Shard {
-  std::atomic<std::uint64_t> cells[kCellsPerShard];
-};
-
-std::size_t this_thread_shard() {
-  // Hashed once per thread; threads map stably to shards for their life.
-  static thread_local const std::size_t shard =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards;
-  return shard;
-}
-
-}  // namespace
-
 struct Registry::Impl {
-  struct Meta {
-    std::string name;
-    MetricKind kind;
-    std::uint32_t cell;        // first shard cell / gauge slot
-    std::uint32_t cell_count;  // 1, or bounds+1 for histograms
+  struct Metric {
+    MetricKind kind = MetricKind::kCounter;
     std::vector<std::uint64_t> bounds;  // histogram only; address-stable
+    std::vector<std::uint64_t> cells;   // one cell, or bounds + 1 buckets
   };
 
-  mutable std::mutex mu;              // registration + snapshot only
-  std::deque<Meta> metas;             // deque: Meta::bounds stays put
-  std::map<std::string, Meta*, std::less<>> by_name;
-  std::uint32_t next_cell = 0;
-  std::uint32_t next_gauge = 0;
-  std::vector<Shard> shards{kShards};
-  std::atomic<std::uint64_t> gauges[kMaxGauges] = {};
+  mutable std::mutex mu;       // guards metrics, by_name and every cell
+  std::deque<Metric> metrics;  // deque: Metric::bounds stays put
+  std::map<std::string, std::uint32_t, std::less<>> by_name;
   std::atomic<bool> enabled{true};
 
   MetricId do_register(std::string_view name, MetricKind kind,
                        std::span<const std::uint64_t> bounds) {
     std::lock_guard<std::mutex> lock(mu);
+    const bool hist = kind == MetricKind::kHistogram;
     if (const auto it = by_name.find(name); it != by_name.end()) {
-      Meta& m = *it->second;
+      const Metric& m = metrics[it->second];
       if (m.kind != kind ||
-          (kind == MetricKind::kHistogram &&
-           !std::equal(bounds.begin(), bounds.end(), m.bounds.begin(),
-                       m.bounds.end()))) {
-        throw std::logic_error("obs::Registry: metric '" + m.name +
+          (hist && !std::equal(bounds.begin(), bounds.end(),
+                               m.bounds.begin(), m.bounds.end()))) {
+        throw std::logic_error("obs::Registry: metric '" + it->first +
                                "' re-registered with a different shape");
       }
-      return MetricId{m.cell, m.kind,
-                      kind == MetricKind::kHistogram ? &m.bounds : nullptr};
+      return MetricId{it->second, kind, hist ? &m.bounds : nullptr};
     }
-    Meta meta;
-    meta.name = std::string(name);
-    meta.kind = kind;
-    if (kind == MetricKind::kGauge) {
-      if (next_gauge >= kMaxGauges) {
-        throw std::length_error("obs::Registry: gauge capacity exhausted");
-      }
-      meta.cell = next_gauge++;
-      meta.cell_count = 1;
-    } else {
-      if (!std::is_sorted(bounds.begin(), bounds.end()) ||
-          std::adjacent_find(bounds.begin(), bounds.end()) != bounds.end()) {
-        throw std::invalid_argument(
-            "obs::Registry: histogram bounds must be strictly ascending");
-      }
-      const auto cells = static_cast<std::uint32_t>(bounds.size() + 1);
-      if (next_cell + cells > kCellsPerShard) {
-        throw std::length_error("obs::Registry: cell capacity exhausted");
-      }
-      meta.cell = next_cell;
-      meta.cell_count = kind == MetricKind::kHistogram ? cells : 1;
-      meta.bounds.assign(bounds.begin(), bounds.end());
-      next_cell += meta.cell_count;
+    if (!std::is_sorted(bounds.begin(), bounds.end()) ||
+        std::adjacent_find(bounds.begin(), bounds.end()) != bounds.end()) {
+      throw std::invalid_argument(
+          "obs::Registry: histogram bounds must be strictly ascending");
     }
-    metas.push_back(std::move(meta));
-    Meta& stored = metas.back();
-    by_name.emplace(stored.name, &stored);
-    return MetricId{stored.cell, stored.kind,
-                    kind == MetricKind::kHistogram ? &stored.bounds : nullptr};
+    const auto index = static_cast<std::uint32_t>(metrics.size());
+    Metric& m = metrics.emplace_back();
+    m.kind = kind;
+    m.bounds.assign(bounds.begin(), bounds.end());
+    m.cells.assign(hist ? bounds.size() + 1 : 1, 0);
+    by_name.emplace(std::string(name), index);
+    return MetricId{index, kind, hist ? &m.bounds : nullptr};
   }
 
-  std::uint64_t sum_cell(std::uint32_t cell) const {
-    std::uint64_t total = 0;
-    for (const Shard& s : shards) {
-      total += s.cells[cell].load(std::memory_order_relaxed);
-    }
-    return total;
+  /// Applies `op` to cell `c` of metric `id` under the lock, unless the
+  /// registry is disabled.
+  template <typename Op>
+  void update(MetricId id, std::size_t c, Op op) {
+    if (!enabled.load(std::memory_order_relaxed)) return;
+    std::lock_guard<std::mutex> lock(mu);
+    op(metrics[id.cell].cells[c]);
   }
 };
 
@@ -216,37 +169,25 @@ MetricId Registry::histogram(std::string_view name,
 }
 
 void Registry::add(MetricId id, std::uint64_t delta) {
-  if (!impl_->enabled.load(std::memory_order_relaxed)) return;
-  impl_->shards[this_thread_shard()].cells[id.cell].fetch_add(
-      delta, std::memory_order_relaxed);
+  impl_->update(id, 0, [delta](std::uint64_t& c) { c += delta; });
 }
 
 void Registry::gauge_set(MetricId id, std::uint64_t value) {
-  if (!impl_->enabled.load(std::memory_order_relaxed)) return;
-  impl_->gauges[id.cell].store(value, std::memory_order_relaxed);
+  impl_->update(id, 0, [value](std::uint64_t& c) { c = value; });
 }
 
-void Registry::gauge_add(MetricId id, std::uint64_t delta) {
-  if (!impl_->enabled.load(std::memory_order_relaxed)) return;
-  impl_->gauges[id.cell].fetch_add(delta, std::memory_order_relaxed);
-}
+void Registry::gauge_add(MetricId id, std::uint64_t delta) { add(id, delta); }
 
 void Registry::gauge_max(MetricId id, std::uint64_t value) {
-  if (!impl_->enabled.load(std::memory_order_relaxed)) return;
-  std::atomic<std::uint64_t>& g = impl_->gauges[id.cell];
-  std::uint64_t cur = g.load(std::memory_order_relaxed);
-  while (value > cur &&
-         !g.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
+  impl_->update(id, 0, [value](std::uint64_t& c) { c = std::max(c, value); });
 }
 
 void Registry::observe(MetricId id, std::uint64_t value) {
-  if (!impl_->enabled.load(std::memory_order_relaxed)) return;
+  // Bounds never change after registration, so the bucket is found unlocked.
   const std::vector<std::uint64_t>& bounds = *id.bounds;
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
-  const auto bucket = static_cast<std::uint32_t>(it - bounds.begin());
-  impl_->shards[this_thread_shard()].cells[id.cell + bucket].fetch_add(
-      1, std::memory_order_relaxed);
+  const auto bucket = static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
+  impl_->update(id, bucket, [](std::uint64_t& c) { ++c; });
 }
 
 void Registry::set_enabled(bool on) {
@@ -261,39 +202,25 @@ Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   Snapshot out;
   out.metrics.reserve(impl_->by_name.size());
-  for (const auto& [name, meta] : impl_->by_name) {  // map order == name order
-    MetricSnapshot m;
+  for (const auto& [name, index] : impl_->by_name) {  // name order
+    const Impl::Metric& metric = impl_->metrics[index];
+    MetricSnapshot& m = out.metrics.emplace_back();
     m.name = name;
-    m.kind = meta->kind;
-    switch (meta->kind) {
-      case MetricKind::kCounter:
-        m.value = impl_->sum_cell(meta->cell);
-        break;
-      case MetricKind::kGauge:
-        m.value = impl_->gauges[meta->cell].load(std::memory_order_relaxed);
-        break;
-      case MetricKind::kHistogram:
-        m.hist.upper_bounds = meta->bounds;
-        m.hist.counts.reserve(meta->cell_count);
-        for (std::uint32_t c = 0; c < meta->cell_count; ++c) {
-          m.hist.counts.push_back(impl_->sum_cell(meta->cell + c));
-        }
-        break;
+    m.kind = metric.kind;
+    if (metric.kind == MetricKind::kHistogram) {
+      m.hist.upper_bounds = metric.bounds;
+      m.hist.counts = metric.cells;
+    } else {
+      m.value = metric.cells[0];
     }
-    out.metrics.push_back(std::move(m));
   }
   return out;
 }
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  for (Shard& s : impl_->shards) {
-    for (std::size_t c = 0; c < kCellsPerShard; ++c) {
-      s.cells[c].store(0, std::memory_order_relaxed);
-    }
-  }
-  for (std::size_t g = 0; g < kMaxGauges; ++g) {
-    impl_->gauges[g].store(0, std::memory_order_relaxed);
+  for (Impl::Metric& m : impl_->metrics) {
+    std::fill(m.cells.begin(), m.cells.end(), 0);
   }
 }
 

@@ -8,19 +8,22 @@
 //      scheduler decisions, so a run's delivery counts and checksums are
 //      byte-identical whether the registry is compiled in, compiled out
 //      (-DSENSORNET_OBS=OFF) or runtime-disabled (set_enabled(false)).
-//   2. No hot-path serialization. Counter and histogram cells are sharded:
-//      a thread picks a shard by hashing its id, and increments are relaxed
-//      atomic adds into that shard — no locks, no cross-worker cache-line
-//      ping-pong on the trial farm. Shards are merged only at snapshot().
-//   3. Deterministic snapshots. A snapshot lists metrics in name order and
-//      sums shards in index order, so two runs of a deterministic workload
-//      produce byte-identical Snapshot::to_string() output at any worker
-//      count — pinned by tests/obs/registry_test.cpp.
+//   2. Writers batch. The built-in writers tally in plain members and
+//      publish once per batch (sim::Network once per run(), the trial farm
+//      once per for_each), so the registry sees a handful of updates per
+//      wave, not one per message. One mutex guards every metric; each
+//      update is a short critical section, and no storage exists before a
+//      metric is registered.
+//   3. Deterministic snapshots. A snapshot lists metrics in name order, and
+//      a counter or bucket is a sum that does not depend on the order of
+//      its updates, so two runs of a deterministic workload produce
+//      byte-identical Snapshot::to_string() output at any worker count —
+//      pinned by tests/obs/registry_test.cpp.
 //
-// Registration (cold, mutex-guarded) hands out a MetricId whose fields are
-// all an increment needs; the hot ops never touch registry bookkeeping.
-// Registering the same (name, kind, geometry) twice returns the same id,
-// so call sites can re-register per run instead of caching globals.
+// Registration hands out a MetricId that names the metric's slot (and, for
+// histograms, its bounds). Registering the same (name, kind, geometry)
+// twice returns the same id, so call sites can re-register per run instead
+// of caching globals.
 //
 // When the library is configured with -DSENSORNET_OBS=OFF every method
 // below compiles to an inline no-op (see the #else half), so call sites
@@ -44,10 +47,9 @@ inline constexpr bool kObsEnabled = false;
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-/// Everything an increment needs, resolved once at registration: the hot
-/// ops index straight into the shard arrays and never lock.
+/// Everything an update needs, resolved once at registration.
 struct MetricId {
-  std::uint32_t cell = 0;  // first cell (counter/histogram) or gauge slot
+  std::uint32_t cell = 0;  // the metric's index in registration order
   MetricKind kind = MetricKind::kCounter;
   /// Histograms only: pointer into registry-owned, immutable bound storage
   /// (stable until the registry dies; reset() keeps registrations).
@@ -101,7 +103,7 @@ class Registry {
   MetricId histogram(std::string_view name,
                      std::span<const std::uint64_t> upper_bounds);
 
-  // ---- hot ops (lock-free; no-ops while disabled) -----------------------
+  // ---- updates (one short critical section; no-ops while disabled) ------
   void add(MetricId id, std::uint64_t delta = 1);      // counter
   void gauge_set(MetricId id, std::uint64_t value);    // last write wins
   void gauge_add(MetricId id, std::uint64_t delta);
@@ -115,7 +117,7 @@ class Registry {
   void set_enabled(bool on);
   bool enabled() const;
 
-  /// Merges all shards into a name-ordered snapshot.
+  /// Every metric's current value, in name order.
   Snapshot snapshot() const;
   /// Zeroes every cell; registrations (names, ids, bounds) survive.
   void reset();

@@ -55,19 +55,18 @@ namespace sensornet::obs {
 
 struct TraceRing::Impl {
   mutable std::mutex mu;
-  std::vector<TraceEvent> ring;
+  std::vector<TraceEvent> ring;  // empty until the first event or resize
   std::size_t capacity;
   std::size_t head = 0;   // next write position
   std::size_t count = 0;  // events currently buffered (<= capacity)
   std::uint64_t dropped = 0;
   std::atomic<bool> enabled{false};
 
-  explicit Impl(std::size_t cap) : capacity(cap == 0 ? 1 : cap) {
-    ring.resize(capacity);
-  }
+  explicit Impl(std::size_t cap) : capacity(cap == 0 ? 1 : cap) {}
 
   void push(const TraceEvent& e) {
     std::lock_guard<std::mutex> lock(mu);
+    if (ring.empty()) ring.resize(capacity);
     if (count == capacity) {
       ++dropped;  // overwriting the oldest slot
     } else {

@@ -17,9 +17,13 @@
 //
 // The ring is disabled by default and costs one predicted branch per site
 // (enabled() is a relaxed atomic load; with SENSORNET_OBS=OFF it is a
-// compile-time false and the sites fold away entirely). When enabled,
-// recording takes a mutex — tracing is a diagnosis mode, not a steady-state
-// one, and the coarse lock keeps the ring trivially ThreadSanitizer-clean.
+// compile-time false and the sites fold away entirely). It also holds no
+// event storage until it records: the constructor only notes the capacity,
+// and the first event (or set_capacity) sizes the buffer, so a process that
+// never traces never pays for the ring. When enabled, recording takes a
+// mutex — the same one-lock design as obs::Registry; tracing is a diagnosis
+// mode, not a steady-state one, and the coarse lock keeps the ring
+// trivially ThreadSanitizer-clean.
 // A full ring drops the OLDEST event (and counts the drop), so a trace
 // always holds the most recent window of activity.
 #pragma once
@@ -64,7 +68,7 @@ class TraceRing {
   /// Cheap gate for instrumentation sites: record only when enabled.
   bool enabled() const;
   void set_enabled(bool on);
-  /// Drops all buffered events and resizes the ring.
+  /// Drops all buffered events and resizes the ring (allocating it).
   void set_capacity(std::size_t capacity);
   void clear();
 
@@ -79,6 +83,7 @@ class TraceRing {
                 const char* a1 = nullptr, std::uint64_t v1 = 0);
 
   std::size_t size() const;
+  /// The configured size, whether or not the buffer exists yet.
   std::size_t capacity() const;
   /// Events evicted because the ring was full (oldest-dropped).
   std::uint64_t dropped() const;

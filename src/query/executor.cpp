@@ -112,16 +112,12 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
     case Strategy::kPrimitiveWave: {
       proto::TreeCountingService svc(net, deployment_.tree, *view_);
       switch (q.agg) {
-        case AggregateKind::kMin: {
-          const auto v = svc.min_value();
-          if (!v) throw PreconditionError("MIN over an empty selection");
-          res.value = static_cast<double>(*v);
-          break;
-        }
+        case AggregateKind::kMin:
         case AggregateKind::kMax: {
-          const auto v = svc.max_value();
-          if (!v) throw PreconditionError("MAX over an empty selection");
-          res.value = static_cast<double>(*v);
+          const auto v = q.agg == AggregateKind::kMin ? svc.min_value()
+                                                      : svc.max_value();
+          res.empty_selection = !v;
+          res.value = static_cast<double>(v.value_or(0));
           break;
         }
         case AggregateKind::kCount:
@@ -137,8 +133,10 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
             res.value = static_cast<double>(sum);
           } else {
             const std::uint64_t n = svc.count_all();
-            if (n == 0) throw PreconditionError("AVG over an empty selection");
-            res.value = static_cast<double>(sum) / static_cast<double>(n);
+            res.empty_selection = n == 0;
+            res.value = res.empty_selection ? 0.0
+                                            : static_cast<double>(sum) /
+                                                  static_cast<double>(n);
           }
           break;
         }
@@ -178,8 +176,8 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
                                                  *view_);
         const double count =
             counter.apx_count(proto::Predicate::always_true());
-        if (count < 0.5) throw PreconditionError("AVG over an empty selection");
-        res.value = sum / count;
+        res.empty_selection = count < 0.5;
+        res.value = res.empty_selection ? 0.0 : sum / count;
       }
       res.is_exact = false;
       break;
@@ -187,7 +185,10 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
     case Strategy::kExactSelection: {
       proto::TreeCountingService svc(net, deployment_.tree, *view_);
       const std::uint64_t n = svc.count_all();
-      if (n == 0) throw PreconditionError("selection over an empty input");
+      if (n == 0) {
+        res.empty_selection = true;
+        break;
+      }
       const double phi = q.agg == AggregateKind::kQuantile ? q.quantile_phi : 0.5;
       auto twice_k = static_cast<std::int64_t>(
           std::llround(2.0 * phi * static_cast<double>(n)));
@@ -211,6 +212,7 @@ QueryResult Executor::run(const Query& q, const CostedPlan& plan) {
       params.rep_scale = 0.25;
       const auto r =
           core::approx_median2(net, deployment_.tree, params, *view_);
+      res.empty_selection = r.stages == 0;
       res.value = static_cast<double>(r.value);
       res.is_exact = false;
       break;

@@ -31,6 +31,9 @@ struct Deployment {
 struct QueryResult {
   double value = 0.0;
   bool is_exact = true;
+  /// The WHERE filter matched no reading, so MIN, MAX, AVG, MEDIAN and
+  /// QUANTILE are undefined: value is 0.
+  bool empty_selection = false;
   std::string plan;          // human-readable strategy line
   std::uint64_t max_node_bits = 0;  // this query's individual communication
   std::uint64_t total_bits = 0;

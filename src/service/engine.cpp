@@ -20,10 +20,12 @@ struct CostDelta {
   std::uint64_t messages = 0;
 };
 
-CostDelta cost_since(const sim::Network& net, const sim::CommSummary& before) {
-  const sim::CommSummary after = net.summary(/*include_headers=*/true);
-  return CostDelta{after.total_bits - before.total_bits,
-                   after.total_messages - before.total_messages};
+CostDelta cost_since(const sim::Network& net,
+                     const sim::Network::DirStats& before) {
+  const sim::Network::DirStats& after = net.sent_totals();
+  return CostDelta{(after.payload_bits + after.header_bits) -
+                       (before.payload_bits + before.header_bits),
+                   after.messages - before.messages};
 }
 
 }  // namespace
@@ -121,7 +123,7 @@ Admission QueryService::admit(ParsedQuery&& parsed) {
               lq.q.agg == query::AggregateKind::kCountDistinct)) {
     lq.route = Route::kGroup;
     // A new group's install broadcast is charged to the group.
-    const auto before = deployment_.net.summary(true);
+    const auto before = deployment_.net.sent_totals();
     if (stats_family) {
       lq.group = store_.pin_stats(lq.region);
       adm.plan = "shared stats bundle, group ";
@@ -194,11 +196,13 @@ Answer QueryService::serve(const LiveQuery& lq, bool collect) {
     // 3. A fresh answer. Marginal cost: a shared collection is idempotent
     // per epoch, so the first due subscriber pays the whole wave and later
     // ones see a zero delta.
-    const auto before = deployment_.net.summary(true);
+    const auto before = deployment_.net.sent_totals();
     const SharedPlanStats waves_before = store_.stats();
     if (lq.route == Route::kExecutor) {
       const query::QueryResult r = executor_.run(lq.q, lq.plan);
-      answer = cube::BracketedAnswer{r.value, 0.0, r.is_exact};
+      if (!r.empty_selection) {
+        answer = cube::BracketedAnswer{r.value, 0.0, r.is_exact};
+      }
       ++telemetry_.executor_runs;
     } else {
       cube::BundlePartial served;
@@ -214,8 +218,8 @@ Answer QueryService::serve(const LiveQuery& lq, bool collect) {
           lq.q.agg, lq.route == Route::kCube
                         ? served
                         : store_.collect(lq.group, epoch_));
-      a.empty_selection = !answer;
     }
+    a.empty_selection = !answer;
     const CostDelta d = cost_since(deployment_.net, before);
     ++qc.fresh;
     qc.bits_on_air += d.bits;
@@ -289,7 +293,7 @@ std::vector<Answer> QueryService::run_epoch(
     // The mark wave serves every incremental consumer at once (shared
     // groups and cube cells ride the same marks); no single query caused
     // it, so its bits land in the service-level bucket.
-    const auto before = deployment_.net.summary(true);
+    const auto before = deployment_.net.sent_totals();
     store_.note_updates(touched, epoch_);
     mark_bits_on_air_ += cost_since(deployment_.net, before).bits;
   }

@@ -104,7 +104,8 @@ struct Answer {
   double error_bound = 0.0;
   bool exact = true;
   bool from_cache = false;
-  /// The WHERE region matched no readings (MIN/MAX/AVG undefined; value 0).
+  /// The WHERE region matched no readings (MIN, MAX, AVG, MEDIAN and
+  /// QUANTILE undefined; value 0). Every route reports it the same way.
   bool empty_selection = false;
 };
 

@@ -72,17 +72,12 @@ Xoshiro256& Network::rng(NodeId node) {
 }
 
 void Network::charge_send(NodeId node, const Message& msg) {
-  DirStats& st = sent_[node];
-  st.payload_bits += msg.payload_bits;
-  st.header_bits += kHeaderBits;
-  st.messages += 1;
+  sent_[node].charge(msg.payload_bits);
+  sent_total_.charge(msg.payload_bits);
 }
 
 void Network::charge_receive(NodeId node, const Message& msg) {
-  DirStats& st = received_[node];
-  st.payload_bits += msg.payload_bits;
-  st.header_bits += kHeaderBits;
-  st.messages += 1;
+  received_[node].charge(msg.payload_bits);
 }
 
 void Network::note_in_flight_high_water() {
@@ -297,6 +292,7 @@ void Network::watch_edge(NodeId u, NodeId v) {
 void Network::reset_accounting() {
   for (DirStats& st : sent_) st = DirStats{};
   for (DirStats& st : received_) st = DirStats{};
+  sent_total_ = DirStats{};
   now_ = 0;
   watched_bits_ = 0;
   peak_in_flight_bytes_ = 0;

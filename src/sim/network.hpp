@@ -46,6 +46,22 @@ class ProtocolHandler {
 
 class Network {
  public:
+  /// One direction of a meter: a node's sent or received side (the unit the
+  /// deliver loop touches; 24 bytes, so charging a node dirties one cache
+  /// line, not two), or the whole network's sent side.
+  struct DirStats {
+    std::uint64_t payload_bits = 0;
+    std::uint64_t header_bits = 0;
+    std::uint64_t messages = 0;
+
+    /// One message of `payload` bits plus its header.
+    void charge(std::uint64_t payload) {
+      payload_bits += payload;
+      header_bits += kHeaderBits;
+      messages += 1;
+    }
+  };
+
   /// Takes ownership of the deployment graph (compacting it if the builder
   /// has not already). `master_seed` derives every node's private random
   /// stream, making runs reproducible.
@@ -143,15 +159,12 @@ class Network {
   /// direction arrays; no per-node materialization).
   CommSummary summary(bool include_headers = false) const;
 
- private:
-  /// One direction of a node's meter — the unit the deliver loop touches.
-  /// 24 bytes, so charging a node dirties one cache line, not two.
-  struct DirStats {
-    std::uint64_t payload_bits = 0;
-    std::uint64_t header_bits = 0;
-    std::uint64_t messages = 0;
-  };
+  /// Network-wide sent totals over the current accounting window, kept
+  /// running by every send: O(1), and equal to summary()'s total_bits
+  /// (payload_bits, plus header_bits with headers) and total_messages.
+  const DirStats& sent_totals() const { return sent_total_; }
 
+ private:
   /// Where a node's items live in the shared slab.
   struct ItemRef {
     std::uint32_t offset = 0;
@@ -165,7 +178,7 @@ class Network {
   void ensure_rngs();
   /// Publishes the batched sim.* counters to the obs registry and zeroes
   /// the pending fields. Called once per run() — the send/deliver hot paths
-  /// only bump plain members, never the (atomic) registry cells.
+  /// only bump plain members, never the (locked) registry.
   void flush_obs_counters();
 
   net::Graph graph_;
@@ -174,6 +187,7 @@ class Network {
   // ---- SoA node state (parallel arrays indexed by NodeId) ---------------
   std::vector<DirStats> sent_;      // hot: charge_send
   std::vector<DirStats> received_;  // hot: charge_receive
+  DirStats sent_total_;             // sum of sent_, kept by charge_send
   std::vector<ItemRef> item_refs_;
   std::vector<Value> item_slab_;
   std::vector<Xoshiro256> rngs_;  // empty until the first rng() call
@@ -204,7 +218,7 @@ class Network {
   std::uint64_t watched_bits_ = 0;
 
   // Pending observability counters (flushed by flush_obs_counters). Plain
-  // integers: cheaper than registry atomics at per-message frequency, and
+  // integers: cheaper than a registry lock at per-message frequency, and
   // reset with the accounting window they describe.
   std::uint64_t obs_unicasts_ = 0;
   std::uint64_t obs_broadcasts_ = 0;

@@ -2,8 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
+
+namespace {
+
+// Bytes requested through global operator new; atomic because the suite
+// also runs under ThreadSanitizer.
+std::atomic<std::size_t> g_new_bytes{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_new_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sensornet::obs {
 namespace {
@@ -73,6 +95,21 @@ TEST(TraceRing, ExportsChromeTraceJson) {
   EXPECT_NE(json.find("\"dur\": 9"), std::string::npos);
   EXPECT_NE(json.find("\"args\": {\"from\": 0, \"to\": 1}"),
             std::string::npos);
+}
+
+TEST(TraceRing, HoldsNoEventStorageUntilItRecords) {
+  REQUIRE_OBS();
+  const std::size_t before = g_new_bytes.load();
+  TraceRing ring;
+  EXPECT_LT(g_new_bytes.load() - before, std::size_t{64} << 10);
+  EXPECT_EQ(ring.capacity(), TraceRing::kDefaultCapacity);
+  EXPECT_EQ(ring.size(), 0u);
+
+  const std::size_t before_first = g_new_bytes.load();
+  ring.instant("first", "t", 1);
+  EXPECT_EQ(g_new_bytes.load() - before_first,
+            TraceRing::kDefaultCapacity * sizeof(TraceEvent));
+  EXPECT_EQ(ring.size(), 1u);
 }
 
 TEST(TraceRing, DisabledByDefault) {

@@ -149,12 +149,25 @@ TEST(Executor, AccountingWindowIsPerQuery) {
   EXPECT_GT(a.messages, 0u);
 }
 
-TEST(Executor, EmptySelectionThrows) {
+TEST(Executor, EmptySelectionIsReported) {
   Fixture f({1, 2, 3, 4});
-  EXPECT_THROW(f.exec.run("SELECT MIN(v) FROM sensors WHERE v > 100"),
-               PreconditionError);
-  EXPECT_THROW(f.exec.run("SELECT MEDIAN(v) FROM sensors WHERE v > 100"),
-               PreconditionError);
+  for (const char* text :
+       {"SELECT MIN(v) FROM sensors WHERE v > 100",
+        "SELECT MAX(v) FROM sensors WHERE v > 100",
+        "SELECT AVG(v) FROM sensors WHERE v > 100",
+        "SELECT AVG(v) FROM sensors WHERE v > 100 ERROR 0.1",
+        "SELECT MEDIAN(v) FROM sensors WHERE v > 100",
+        "SELECT MEDIAN(v) FROM sensors WHERE v > 100 ERROR 0.1"}) {
+    const QueryResult r = f.exec.run(text);
+    EXPECT_TRUE(r.empty_selection) << text;
+    EXPECT_DOUBLE_EQ(r.value, 0.0) << text;
+    EXPECT_GT(r.messages, 0u) << text;  // the filter and waves still ran
+  }
+  EXPECT_FALSE(f.exec.run("SELECT MIN(v) FROM sensors").empty_selection);
+  // COUNT and SUM are defined over an empty selection.
+  const QueryResult count = f.exec.run("SELECT COUNT(v) FROM sensors WHERE v > 100");
+  EXPECT_FALSE(count.empty_selection);
+  EXPECT_DOUBLE_EQ(count.value, 0.0);
 }
 
 TEST(Executor, PlanLineSurfaced) {

@@ -313,6 +313,86 @@ TEST(QueryService, EmptySelectionsAreFlagged) {
   EXPECT_DOUBLE_EQ(a.value, 0.0);
 }
 
+/// A 4x4 grid with every reading at 500, served in one of the three modes.
+struct FlatGrid {
+  sim::Network net;
+  net::SpanningTree tree;
+  QueryService svc;
+
+  explicit FlatGrid(ServiceConfig cfg)
+      : net(net::make_grid(4, 4), 5),
+        tree(net::bfs_tree(net.graph(), 0)),
+        svc(query::Deployment{net, tree, kBound}, cfg) {
+    net.set_one_item_per_node(ValueSet(16, 500));
+  }
+};
+
+std::vector<ServiceConfig> all_modes() {
+  ServiceConfig naive;
+  naive.share_aggregation = false;
+  ServiceConfig cube;
+  cube.use_cube = true;
+  return {naive, ServiceConfig{}, cube};
+}
+
+TEST(QueryService, SelectionsDriftingEmptyAreFlaggedInEveryMode) {
+  for (const ServiceConfig& cfg : all_modes()) {
+    FlatGrid g(cfg);
+    const QueryId min = g.svc.submit("SELECT MIN(v) FROM s WHERE v BETWEEN 0 "
+                                     "AND 501 EVERY 1 EPOCHS")
+                            .value()
+                            .id;
+    const QueryId avg = g.svc.submit("SELECT AVG(v) FROM s WHERE v BETWEEN 0 "
+                                     "AND 501 EVERY 1 EPOCHS")
+                            .value()
+                            .id;
+    const QueryId count =
+        g.svc.submit("SELECT COUNT(v) FROM s EVERY 1 EPOCHS").value().id;
+    std::vector<SensorUpdate> batch;
+    for (NodeId u = 0; u < 16; ++u) batch.push_back(SensorUpdate{u, 504});
+    const std::vector<Answer> answers = g.svc.run_epoch(batch);
+    ASSERT_EQ(answers.size(), 3u) << "naive/shared/cube: " << cfg.use_cube;
+    for (const Answer& a : answers) {
+      EXPECT_EQ(a.epoch, 1u);
+      if (a.id == count) {
+        EXPECT_FALSE(a.empty_selection);
+        EXPECT_DOUBLE_EQ(a.value, 16.0);
+      } else {
+        EXPECT_TRUE(a.id == min || a.id == avg);
+        EXPECT_TRUE(a.empty_selection);
+        EXPECT_DOUBLE_EQ(a.value, 0.0);
+      }
+    }
+  }
+}
+
+TEST(QueryService, EmptyMediansAreFlaggedInEveryMode) {
+  for (const ServiceConfig& cfg : all_modes()) {
+    FlatGrid g(cfg);
+    for (const char* text :
+         {"SELECT MEDIAN(v) FROM s WHERE v BETWEEN 600 AND 700",
+          "SELECT MEDIAN(v) FROM s WHERE v BETWEEN 600 AND 700 ERROR 0.1",
+          "SELECT QUANTILE(v, 0.9) FROM s WHERE v BETWEEN 600 AND 700"}) {
+      const auto r = g.svc.submit(text);
+      ASSERT_TRUE(r.ok()) << text;
+      ASSERT_TRUE(r.value().answer.has_value()) << text;
+      EXPECT_TRUE(r.value().answer->empty_selection) << text;
+      EXPECT_DOUBLE_EQ(r.value().answer->value, 0.0) << text;
+    }
+    // A continuous median that selects nothing leaves the epoch's other
+    // due queries answered.
+    g.svc.submit("SELECT MEDIAN(v) FROM s WHERE v BETWEEN 600 AND 700 "
+                 "EVERY 1 EPOCHS")
+        .value();
+    g.svc.submit("SELECT MAX(v) FROM s EVERY 1 EPOCHS").value();
+    const std::vector<Answer> answers = g.svc.run_epoch({});
+    ASSERT_EQ(answers.size(), 2u);
+    EXPECT_TRUE(answers[0].empty_selection);
+    EXPECT_FALSE(answers[1].empty_selection);
+    EXPECT_DOUBLE_EQ(answers[1].value, 500.0);
+  }
+}
+
 TEST(QueryService, DistinctAndMedianRouteAroundTheStatsPath) {
   Fixture f;
   const auto distinct = f.svc.submit("SELECT COUNT_DISTINCT(v) FROM s");

@@ -219,6 +219,53 @@ TEST(Network, ResetAccountingClears) {
   EXPECT_EQ(net.now(), 0u);
 }
 
+/// The running sent totals agree with a full pass over the node meters.
+void expect_totals_match_summary(const Network& net) {
+  const CommSummary with_headers = net.summary(/*include_headers=*/true);
+  const CommSummary payload_only = net.summary(/*include_headers=*/false);
+  const Network::DirStats& t = net.sent_totals();
+  EXPECT_EQ(t.payload_bits, payload_only.total_bits);
+  EXPECT_EQ(t.payload_bits + t.header_bits, with_headers.total_bits);
+  EXPECT_EQ(t.messages, with_headers.total_messages);
+}
+
+TEST(Network, SentTotalsTrackSummaryAcrossTrafficAndResets) {
+  Network net(net::make_complete(6), 1);
+  Recorder rec;
+  const auto traffic = [&] {
+    for (NodeId u = 0; u < 6; ++u) {
+      for (const NodeId v : net.graph().neighbors(u)) {
+        net.send(one_bit_message(u, v));
+      }
+    }
+    BitWriter w;
+    w.write_bits(0x2A, 7);
+    net.send_medium(Message::make(3, kNoNode, 0, 1, std::move(w)));
+    net.run(rec);
+  };
+  traffic();
+  EXPECT_EQ(net.sent_totals().messages, 31u);  // 30 unicasts + 1 broadcast
+  expect_totals_match_summary(net);
+
+  net.set_message_loss(0.1);  // lost messages still cost their sender
+  traffic();
+  traffic();
+  EXPECT_EQ(net.sent_totals().messages, 93u);
+  expect_totals_match_summary(net);
+
+  net.reset_accounting();
+  EXPECT_EQ(net.sent_totals().messages, 0u);
+  expect_totals_match_summary(net);
+  traffic();
+  expect_totals_match_summary(net);
+
+  net.reset(1);
+  EXPECT_EQ(net.sent_totals().messages, 0u);
+  expect_totals_match_summary(net);
+  traffic();
+  expect_totals_match_summary(net);
+}
+
 TEST(Network, RngStreamsPerNodeDiffer) {
   Network net(net::make_line(2), 42);
   EXPECT_NE(net.rng(0).next_u64(), net.rng(1).next_u64());
